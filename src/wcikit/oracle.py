@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .analysis import WCISpec
-from .poly import GF, PolySystem, PrimeField, evaluate, partial_derivative, restrict
+from .poly import (
+    GF,
+    PolySystem,
+    PrimeField,
+    SparsePoly,
+    evaluate,
+    partial_derivative,
+    restrict,
+)
 from .weights import Stratum
 
 STATUS_NO_WITNESS = "no_witness_found"
@@ -71,13 +79,21 @@ def matrix_rank(rows, field) -> int:
     return rank
 
 
+def _jacobian(sys: PolySystem) -> tuple[tuple[SparsePoly, ...], ...]:
+    """The k x (N+1) partial derivatives of the system, built once per system
+    object and kept on it."""
+    jac = sys.__dict__.get("_jacobian")
+    if jac is None:
+        n = len(sys.weights)
+        jac = tuple(tuple(partial_derivative(f, i) for i in range(n)) for f in sys.polys)
+        object.__setattr__(sys, "_jacobian", jac)
+    return jac
+
+
 def jacobian_rank(sys: PolySystem, point) -> int:
     """Rank of the k x (N+1) matrix of partial derivatives evaluated at the point."""
     coords = point.coords if isinstance(point, ConePoint) else tuple(point)
-    n = len(sys.weights)
-    rows = [
-        [evaluate(partial_derivative(f, i), coords) for i in range(n)] for f in sys.polys
-    ]
+    rows = [[evaluate(d, coords) for d in row] for row in _jacobian(sys)]
     return matrix_rank(rows, sys.field)
 
 
@@ -102,7 +118,11 @@ class QSVerdict:
 
     ``singular_witness`` is definitive for the scanned member; absence of
     witnesses is one-sided evidence.  ``exhaustive`` is true only when every
-    probed field was scanned completely.
+    probed field was scanned completely.  An exhaustive scan evaluates one
+    orbit slice of the weighted F_p^* action, yet ``witnesses`` lists every
+    singular point of the field, in ascending order, each re-verified.
+    ``points_scanned`` counts the nonzero points the verdict decides: p^(N+1)-1
+    per exhaustive field, the nonzero draws per sampled one.
     """
 
     status: str
@@ -164,6 +184,35 @@ def _max_exponent(polys) -> int:
     )
 
 
+def _orbit_slice(p: int, weights):
+    """Nonzero points of F_p^n whose first nonzero coordinate x_i is a coset
+    representative of (F_p^*)^{a_i}; later coordinates are free.
+
+    Every orbit of the weighted action lambda.x = (lambda^{a_i} x_i) meets the
+    slice, and x_i takes gcd(a_i, p-1) values instead of p-1.
+    """
+    n = len(weights)
+    for i, a in enumerate(weights):
+        powers = {pow(t, a, p) for t in range(1, p)}
+        covered = set()
+        for rep in range(1, p):
+            if rep in covered:
+                continue
+            covered.update(rep * h % p for h in powers)
+            head = (0,) * i + (rep,)
+            for tail in itertools.product(range(p), repeat=n - i - 1):
+                yield head + tail
+
+
+def _expand_orbits(points, weights, p: int) -> list[tuple[int, ...]]:
+    """The union of the weighted-action orbits of the points, in ascending
+    (``itertools.product``) order."""
+    scalings = [tuple(pow(t, a, p) for a in weights) for t in range(1, p)]
+    return sorted(
+        {tuple(x * s % p for x, s in zip(pt, sc)) for pt in points for sc in scalings}
+    )
+
+
 def quasi_smooth_probe(
     sys: PolySystem,
     primes=DEFAULT_PRIMES,
@@ -176,9 +225,14 @@ def quasi_smooth_probe(
     """Scan nonzero points of F_p^(N+1) for singular points of the affine cone.
 
     Fields with p^(N+1) <= max_points are scanned exhaustively; larger ones
-    by ``sample_count`` seeded uniform draws (deterministic).  Primes dividing
-    a weight or degree are excluded unless ``allow_bad_primes``.  A rational-
-    coefficient system is reduced mod each prime.
+    by ``sample_count`` seeded uniform draws (deterministic).  An exhaustive
+    scan evaluates one orbit slice (``_orbit_slice``): the equations are
+    weighted homogeneous, so vanishing and Jacobian rank are constant on each
+    orbit of the weighted F_p^* action, in every characteristic.  The singular
+    slice points are expanded to their orbits and every expanded point is
+    re-verified.  Primes dividing a weight or degree are excluded unless
+    ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
+    prime.
     """
     primes = tuple(dict.fromkeys(int(p) for p in primes))
     if not allow_bad_primes:
@@ -197,31 +251,42 @@ def quasi_smooth_probe(
     for p in primes:
         fsys = _system_over(sys, p)
         field = GF(p)
-        derivs = [[partial_derivative(f, i) for i in range(n1)] for f in fsys.polys]
+        derivs = _jacobian(fsys)
         max_exp = max(_max_exponent(fsys.polys), _max_exponent([d for row in derivs for d in row]))
         powt = _power_table(p, max_exp)
         f_evals = [_compiled_eval(f, powt, p) for f in fsys.polys]
         d_evals = [[_compiled_eval(d, powt, p) for d in row] for row in derivs]
-        if p**n1 <= max_points:
-            points = itertools.product(range(p), repeat=n1)
+        exhaustive = p**n1 <= max_points
+        if exhaustive:
+            points = _orbit_slice(p, fsys.weights.entries)
         else:
             rng = random.Random(seed)
             points = (
                 tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count)
             )
             all_exhaustive = False
+        singular = []
+        evaluated = 0
         for pt in points:
             if not any(pt):
                 continue
-            scanned += 1
+            evaluated += 1
             if any(fe(pt) for fe in f_evals):
                 continue
             rows = [[de(pt) for de in row] for row in d_evals]
             if matrix_rank(rows, field) < k:
-                point = ConePoint(pt)
-                if not is_singular_witness(fsys, point):
-                    raise RuntimeError(f"internal: witness {pt} failed re-verification")
-                witnesses.append((p, point))
+                singular.append(pt)
+        if exhaustive:
+            # The slice decides every nonzero point of F_p^(N+1).
+            scanned += p**n1 - 1
+            singular = _expand_orbits(singular, fsys.weights.entries, p)
+        else:
+            scanned += evaluated
+        for pt in singular:
+            point = ConePoint(pt)
+            if not is_singular_witness(fsys, point):
+                raise RuntimeError(f"internal: witness {pt} failed re-verification")
+            witnesses.append((p, point))
     status = STATUS_SINGULAR_WITNESS if witnesses else STATUS_NO_WITNESS
     return QSVerdict(status, tuple(witnesses), primes, scanned, all_exhaustive)
 
@@ -245,8 +310,13 @@ class WitnessSearchReport:
     the r x (off-stratum) matrix of restricted partials drops rank (the locus
     Z) and filters by the remaining equations (the set S).  Every S point is
     a singular point of the affine cone, re-verified against the full
-    Jacobian.  ``r_from_divisibility`` is the count k - k(delta) predicted by
-    degree divisibility alone; disagreement is surfaced, not hidden.
+    Jacobian.  Z and S are unions of orbits of the weighted F_p^* action, so
+    the scan evaluates one orbit slice of the stratum's cone and expands it;
+    ``z_points`` and ``s_points`` are still the full sets, in ascending order.
+    ``points_scanned`` counts the nonzero points of the stratum's cone that
+    the search decides, p^(dim+1)-1.  ``r_from_divisibility`` is the count
+    k - k(delta) predicted by degree divisibility alone; disagreement is
+    surfaced, not hidden.
     """
 
     status: str
@@ -323,10 +393,8 @@ def wf_witness_search(
             (), (), False, False, 0,
         )
 
-    g_rows = [
-        [restrict(partial_derivative(fsys.polys[j], i), on_idx) for i in off_idx]
-        for j in vanishing
-    ]
+    jac = _jacobian(fsys)
+    g_rows = [[restrict(jac[j][i], on_idx) for i in off_idx] for j in vanishing]
     escape = any(bool(g.constant_term()) for row in g_rows for g in row)
     remaining = [restrictions[j] for j in range(k) if j not in vanishing]
 
@@ -341,23 +409,24 @@ def wf_witness_search(
         matrix_rank([[evaluate(g, origin) for g in row] for row in g_rows], field) < r
     )
 
-    z_points = []
-    s_points = []
-    scanned = 0
-    for assignment in itertools.product(range(p), repeat=len(on_idx)):
-        if not any(assignment):
-            continue
-        scanned += 1
+    # Z and S are unions of orbits of the weighted action (the entries of row
+    # j scale by lambda^(d_j - a_i), the remaining equations by lambda^(d_j)),
+    # so one orbit slice of the stratum's cone decides them.
+    z_slice = []
+    s_slice = []
+    for assignment in _orbit_slice(p, spec.weights.at(on_idx)):
         pt = [0] * n1
         for i, v in zip(on_idx, assignment):
             pt[i] = v
         pt = tuple(pt)
         rows = [[ge(pt) for ge in row] for row in g_evals]
         if matrix_rank(rows, field) < r:
-            point = ConePoint(pt)
-            z_points.append(point)
+            z_slice.append(pt)
             if all(fe(pt) == 0 for fe in rem_evals):
-                s_points.append(point)
+                s_slice.append(pt)
+    weights = spec.weights.entries
+    z_points = tuple(ConePoint(pt) for pt in _expand_orbits(z_slice, weights, p))
+    s_points = tuple(ConePoint(pt) for pt in _expand_orbits(s_slice, weights, p))
 
     for point in s_points:
         if not is_singular_witness(fsys, point):
@@ -365,5 +434,5 @@ def wf_witness_search(
 
     return WitnessSearchReport(
         SEARCH_COMPLETED, p, stratum, delta, r, r_div, vanishing, off_idx,
-        tuple(z_points), tuple(s_points), origin_in_z, escape, scanned,
+        z_points, s_points, origin_in_z, escape, p ** len(on_idx) - 1,
     )

@@ -1,5 +1,9 @@
 """Tests for finite-field singularity probing and the witness search."""
 
+import itertools
+import random
+from math import gcd
+
 import pytest
 
 from wcikit import (
@@ -15,9 +19,12 @@ from wcikit import (
     jacobian_rank,
     matrix_rank,
     parse_poly,
+    partial_derivative,
     quasi_smooth_probe,
+    restrict,
     wf_witness_search,
 )
+from wcikit.oracle import _compiled_eval, _max_exponent, _power_table
 
 P1111 = (1, 1, 1, 1)
 FERMAT = PolySystem((parse_poly("x0^3 + x1^3 + x2^3 + x3^3", P1111, QQ),))
@@ -279,3 +286,147 @@ class TestWitnessSearch:
             report = wf_witness_search(spec, sys_, lam, p)
             if report.status == "searched" and not report.linear_cone_escape:
                 assert report.origin_in_z
+
+
+# -- Reference scans over the full space ---------------------------------------
+#
+# The loops the orbit-sliced scans replaced: every nonzero point of the field
+# (or of the stratum's cone) is evaluated, in itertools.product order.
+
+
+def reference_probe(sys_, p, max_points=10**7, sample_count=100_000, seed=0):
+    k, n1 = len(sys_.polys), len(sys_.weights)
+    field = GF(p)
+    derivs = [[partial_derivative(f, i) for i in range(n1)] for f in sys_.polys]
+    max_exp = max(_max_exponent(sys_.polys), _max_exponent([d for row in derivs for d in row]))
+    powt = _power_table(p, max_exp)
+    f_evals = [_compiled_eval(f, powt, p) for f in sys_.polys]
+    d_evals = [[_compiled_eval(d, powt, p) for d in row] for row in derivs]
+    exhaustive = p**n1 <= max_points
+    if exhaustive:
+        points = itertools.product(range(p), repeat=n1)
+    else:
+        rng = random.Random(seed)
+        points = (tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count))
+    witnesses, scanned = [], 0
+    for pt in points:
+        if not any(pt):
+            continue
+        scanned += 1
+        if any(fe(pt) for fe in f_evals):
+            continue
+        rows = [[de(pt) for de in row] for row in d_evals]
+        if matrix_rank(rows, field) < k:
+            witnesses.append((p, ConePoint(pt)))
+    status = "singular_witness" if witnesses else "no_witness_found"
+    return status, tuple(witnesses), scanned, exhaustive
+
+
+def reference_search(sys_, on_idx, p):
+    n1 = len(sys_.weights)
+    field = GF(p)
+    off_idx = [i for i in range(n1) if i not in on_idx]
+    restrictions = [restrict(f, on_idx) for f in sys_.polys]
+    vanishing = [j for j, rf in enumerate(restrictions) if rf.is_zero]
+    remaining = [rf for j, rf in enumerate(restrictions) if j not in vanishing]
+    g_rows = [
+        [restrict(partial_derivative(sys_.polys[j], i), on_idx) for i in off_idx]
+        for j in vanishing
+    ]
+    z_points, s_points, scanned = [], [], 0
+    for assignment in itertools.product(range(p), repeat=len(on_idx)):
+        if not any(assignment):
+            continue
+        scanned += 1
+        pt = [0] * n1
+        for i, v in zip(on_idx, assignment):
+            pt[i] = v
+        pt = tuple(pt)
+        rows = [[evaluate(g, pt) for g in row] for row in g_rows]
+        if matrix_rank(rows, field) < len(vanishing):
+            z_points.append(ConePoint(pt))
+            if all(evaluate(f, pt) == 0 for f in remaining):
+                s_points.append(ConePoint(pt))
+    return tuple(z_points), tuple(s_points), scanned
+
+
+def leading_gcds(witnesses, weights, p):
+    """gcd(a_i, p-1) at the first nonzero coordinate of each witness: the
+    number of coset representatives the slice takes there."""
+    return {
+        gcd(weights[next(i for i, x in enumerate(pt.coords) if x)], p - 1)
+        for _, pt in witnesses
+    }
+
+
+class TestOrbitSliceMatchesFullScan:
+    # (weights, degrees, p, seed), seeds chosen so that witnesses exist and
+    # some lead with a coordinate whose gcd(a_i, p-1) exceeds 1.
+    CASES = [
+        ((1, 2, 2, 3), (6,), 5, 12),
+        ((1, 2, 2, 3), (6,), 7, 11),
+        ((1, 2, 2, 3), (6,), 13, 11),
+        ((1, 1, 3, 3, 3), (6, 6), 5, 3),
+        ((1, 1, 3, 3, 3), (6, 6), 7, 10),
+        ((1, 1, 3, 3, 3), (6, 6), 13, 4),
+        ((1, 2, 3, 3), (6,), 13, 3),
+    ]
+
+    @pytest.mark.parametrize("weights,degrees,p,seed", CASES)
+    def test_probe_equals_reference(self, weights, degrees, p, seed):
+        sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
+        verdict = quasi_smooth_probe(sys_, (p,))
+        status, witnesses, scanned, exhaustive = reference_probe(sys_, p)
+        assert witnesses
+        assert verdict.witnesses == witnesses
+        assert verdict.status == status
+        assert verdict.points_scanned == scanned == p ** len(weights) - 1
+        assert verdict.exhaustive and exhaustive
+
+    def test_cases_cover_every_coset_count(self):
+        seen = set()
+        for weights, degrees, p, seed in self.CASES:
+            sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
+            seen |= leading_gcds(quasi_smooth_probe(sys_, (p,)).witnesses, weights, p)
+        assert seen == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "weights,degrees,p,seed",
+        [((1, 2, 2, 3), (6,), 3, 6), ((1, 1, 3, 3, 3), (6, 6), 3, 1), ((1, 2, 2, 3), (6,), 2, 1)],
+    )
+    def test_bad_prime_dividing_a_weight(self, weights, degrees, p, seed):
+        assert any(a % p == 0 for a in weights)
+        sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
+        verdict = quasi_smooth_probe(sys_, (p,), allow_bad_primes=True)
+        status, witnesses, scanned, exhaustive = reference_probe(sys_, p)
+        assert verdict.witnesses == witnesses
+        assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
+            status, scanned, exhaustive,
+        )
+
+    def test_sampling_unchanged(self):
+        sys_ = PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2)
+        verdict = quasi_smooth_probe(sys_, (5,), max_points=100, sample_count=500, seed=5)
+        status, witnesses, scanned, exhaustive = reference_probe(
+            sys_, 5, max_points=100, sample_count=500, seed=5
+        )
+        assert witnesses and not exhaustive
+        assert verdict.witnesses == witnesses
+        assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
+            status, scanned, exhaustive,
+        )
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_witness_search_equals_reference(self, p):
+        spec = WCISpec((1, 1, 2, 2, 2, 2), (3, 4))
+        lam = Stratum.of(spec.weights, (2, 3, 4, 5))
+        s_total = 0
+        for seed in (1, 2, 3):
+            sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(p), seed)
+            report = wf_witness_search(spec, sys_, lam, p)
+            z_points, s_points, scanned = reference_search(sys_, lam.indices, p)
+            assert report.z_points == z_points
+            assert report.s_points == s_points
+            assert report.points_scanned == scanned
+            s_total += len(s_points)
+        assert s_total
