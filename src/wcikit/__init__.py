@@ -19,7 +19,6 @@ from .analysis import (
     adjunction_data,
     classify,
     dimca_codim,
-    dimension,
     is_linear_cone,
     is_representable,
     is_weakly_well_formed,

@@ -144,11 +144,6 @@ class AnalysisReport:
         }
 
 
-def dimension(spec: WCISpec) -> int:
-    """Dimension of the family's members (ambient dimension minus codimension)."""
-    return spec.dimension
-
-
 def is_linear_cone(spec: WCISpec) -> bool:
     """True iff some defining degree equals some weight, so one equation could
     eliminate a variable."""
@@ -227,71 +222,29 @@ def _singular_subsets(entries: tuple[int, ...], size: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _StrataAnalysis:
-    strata: tuple[StratumIntersection, ...]
-    sing_dim: int
-    well_formed: bool
-    wf_evidence: tuple[StratumIntersection, ...]
-    weakly_well_formed: bool
-    weak_evidence: tuple[Stratum, ...]
-
-
-def _analyze_strata(spec: WCISpec) -> _StrataAnalysis:
-    if not is_well_formed_space(spec.weights):
-        return _StrataAnalysis((), -1, False, (), False, ())
-    dim_x = spec.dimension
-    inters = []
-    for st in singular_strata(spec.weights, maximal_only=True):
-        si = stratum_intersection(spec, st)
-        dc = dimca_codim(spec, st.delta)
-        # Compare dimensions with both sides floored at -1: below that both
-        # formulas just mean the empty set.
-        agrees = max(dim_x - dc, -1) == si.dim_general
-        inters.append(replace(si, dimca_codim=dc, dimca_agrees=agrees))
-
-    weak_hits = []
-    if dim_x >= 1:
-        for idx, delta in _singular_subsets(spec.weights.entries, dim_x):
-            stratum_weights = spec.weights.at(idx)
-            if not any(is_representable(d, stratum_weights) for d in spec.degrees):
-                weak_hits.append(Stratum(idx, delta))
-
-    # A contained stratum of codimension one in the family forces the
-    # singular intersection up to dim_X - 1 even when the covering family's
-    # per-stratum model misses it (the restrictions need not cut
-    # independently); fold those strata in so well_formed cannot contradict
-    # weakly_well_formed.
-    known = {si.stratum.indices for si in inters}
-    for st in weak_hits:
-        if st.indices not in known:
-            inters.append(stratum_intersection(spec, st))
-    inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
-
-    sing_dim = max((si.dim_general for si in inters), default=-1)
-    well_formed = dim_x - sing_dim >= 2
-    wf_evidence = tuple(si for si in inters if dim_x - si.dim_general < 2)
-    return _StrataAnalysis(
-        tuple(inters), sing_dim, well_formed, wf_evidence, not weak_hits, tuple(weak_hits)
-    )
-
-
 def is_well_formed(spec: WCISpec) -> tuple[bool, list[StratumIntersection]]:
     """Whether the general member meets the ambient singular locus in
     codimension at least two.  Requires a well-formed ambient space (false
     otherwise, with empty evidence); the evidence lists every stratum
     violating the bound."""
-    a = _analyze_strata(spec)
-    return a.well_formed, list(a.wf_evidence)
+    report = classify(spec)
+    return report.well_formed, [
+        si for si in report.strata if report.dim_X - si.dim_general < 2
+    ]
 
 
 def is_weakly_well_formed(spec: WCISpec) -> tuple[bool, list[Stratum]]:
     """Whether the general member contains no singular stratum of codimension
     one in itself.  All singular index subsets of the critical size are
     checked, not only the maximal covering family, because containment is not
-    monotone upward in the subset."""
-    a = _analyze_strata(spec)
-    return a.weakly_well_formed, list(a.weak_evidence)
+    monotone upward in the subset; every contained one is among the report's
+    strata, and the evidence lists them in index order."""
+    report = classify(spec)
+    return report.weakly_well_formed, _weak_evidence(report.strata, report.dim_X)
+
+
+def _weak_evidence(strata, dim_x: int) -> list[Stratum]:
+    return [si.stratum for si in strata if si.contained and si.stratum.dim == dim_x - 1]
 
 
 def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
@@ -313,15 +266,40 @@ def classify(spec: WCISpec) -> AnalysisReport:
     least 3 that are not intersections with a linear cone; inside that range
     differing verdicts imply the general member is not quasi-smooth.
     """
-    a = _analyze_strata(spec)
     dim_x = spec.dimension
+    space_well_formed = is_well_formed_space(spec.weights)
+    inters = []
+    if space_well_formed:
+        for st in singular_strata(spec.weights, maximal_only=True):
+            si = stratum_intersection(spec, st)
+            dc = dimca_codim(spec, st.delta)
+            # Compare dimensions with both sides floored at -1: below that both
+            # formulas just mean the empty set.
+            agrees = max(dim_x - dc, -1) == si.dim_general
+            inters.append(replace(si, dimca_codim=dc, dimca_agrees=agrees))
+        # A contained stratum of codimension one in the family forces the
+        # singular intersection up to dim_X - 1 even when the covering family's
+        # per-stratum model misses it (the restrictions need not cut
+        # independently); fold those strata in so well_formed cannot contradict
+        # weakly_well_formed.
+        known = {si.stratum.indices for si in inters}
+        for idx, delta in _singular_subsets(spec.weights.entries, dim_x):
+            stratum_weights = spec.weights.at(idx)
+            if idx not in known and not any(
+                is_representable(d, stratum_weights) for d in spec.degrees
+            ):
+                inters.append(stratum_intersection(spec, Stratum(idx, delta)))
+        inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
+    sing_dim = max((si.dim_general for si in inters), default=-1)
+    well_formed = space_well_formed and dim_x - sing_dim >= 2
+    weakly_well_formed = space_well_formed and not _weak_evidence(inters, dim_x)
     cone = is_linear_cone(spec)
     amplitude, self_int = adjunction_data(spec)
 
     flags = []
-    if any(si.contained and si.dim_general == dim_x for si in a.strata):
+    if any(si.contained and si.dim_general == dim_x for si in inters):
         flags.append(FLAG_DEGENERATE_CONTAINMENT)
-    if any(si.dimca_agrees is False for si in a.strata):
+    if any(si.dimca_agrees is False for si in inters):
         flags.append(FLAG_DIMCA_MISMATCH)
     if dim_x == 2 and self_int.denominator != 1:
         flags.append(FLAG_NONINTEGRAL_SURFACE)
@@ -330,22 +308,22 @@ def classify(spec: WCISpec) -> AnalysisReport:
         status = THEOREM_NOT_APPLICABLE_DIM
     elif cone:
         status = THEOREM_NOT_APPLICABLE_LINEAR_CONE
-    elif a.well_formed == a.weakly_well_formed:
+    elif well_formed == weakly_well_formed:
         status = THEOREM_CONSISTENT
     else:
         status = THEOREM_IMPLIES_NOT_QUASISMOOTH
 
     return AnalysisReport(
         spec=spec,
-        space_well_formed=is_well_formed_space(spec.weights),
+        space_well_formed=space_well_formed,
         dim_X=dim_x,
         linear_cone=cone,
         amplitude=amplitude,
         canonical_self_intersection=self_int,
-        strata=a.strata,
-        sing_intersection_dim=a.sing_dim,
-        well_formed=a.well_formed,
-        weakly_well_formed=a.weakly_well_formed,
+        strata=tuple(inters),
+        sing_intersection_dim=sing_dim,
+        well_formed=well_formed,
+        weakly_well_formed=weakly_well_formed,
         theorem_status=status,
         flags=tuple(flags),
     )

@@ -17,6 +17,7 @@ from .analysis import WCISpec, classify
 from .census import CensusBounds, ProbeBudget, run_census, write_census
 from .oracle import (
     DEFAULT_PRIMES,
+    DEFAULT_SAMPLE_COUNT,
     EXHAUSTIVE_LIMIT,
     quasi_smooth_probe,
     wf_witness_search,
@@ -52,7 +53,7 @@ def _verbose(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load_system(args, spec: WCISpec) -> PolySystem:
+def _load_system(args, spec: WCISpec, prime: int) -> PolySystem:
     """Polynomials from --poly-file (one per line, rational coefficients) or a
     generic system over GF(prime) from --seed."""
     if getattr(args, "poly_file", None):
@@ -69,9 +70,6 @@ def _load_system(args, spec: WCISpec) -> PolySystem:
             )
         return sys_
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    prime = getattr(args, "prime", None) or (args.primes_parsed[0] if args.primes_parsed else None)
-    if prime is None:
-        raise ValueError("need --prime (or --primes) to draw a generic system")
     return PolySystem.generic(spec.weights, spec.degrees, GF(prime), seed)
 
 
@@ -111,8 +109,7 @@ def cmd_witness(args) -> int:
         if not candidates:
             raise ValueError("the ambient space is smooth; no singular stratum to search")
         stratum = candidates[0]
-    args.primes_parsed = ()
-    sys_ = _load_system(args, spec)
+    sys_ = _load_system(args, spec, args.prime)
     report = wf_witness_search(spec, sys_, stratum, args.prime)
     _emit(args, report.to_json())
     return EXIT_OK
@@ -120,12 +117,11 @@ def cmd_witness(args) -> int:
 
 def cmd_probe(args) -> int:
     spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
-    args.primes_parsed = _parse_int_list(args.primes, "primes")
-    args.prime = None
-    sys_ = _load_system(args, spec)
+    primes = _parse_int_list(args.primes, "primes")
+    sys_ = _load_system(args, spec, primes[0])
     verdict = quasi_smooth_probe(
         sys_,
-        args.primes_parsed,
+        primes,
         args.max_points,
         sample_count=args.sample_count,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
@@ -187,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the JSON result to this path instead of stdout")
-        p.add_argument("--json", action="store_true", help="JSON output (default; accepted for symmetry)")
         p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
 
     p = sub.add_parser("analyze", help="classify a family: well-formedness, adjunction data, theorem status")
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated primes (default 3,5,7; unsafe ones are dropped)")
     p.add_argument("--max-points", type=int, default=EXHAUSTIVE_LIMIT,
                    help="exhaustive-scan threshold on p^(N+1)")
-    p.add_argument("--sample-count", type=int, default=100_000,
+    p.add_argument("--sample-count", type=int, default=DEFAULT_SAMPLE_COUNT,
                    help="seeded sample size beyond the exhaustive threshold")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--poly-file", default=None)
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip intersections with a linear cone")
     p.add_argument("--probe", action="store_true", help="spot-probe theorem-applicable records")
     p.add_argument("--probe-primes", default=",".join(str(q) for q in DEFAULT_PRIMES))
-    p.add_argument("--probe-max-points", type=int, default=100_000)
+    p.add_argument("--probe-max-points", type=int, default=ProbeBudget.max_points)
     p.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--summary", default=None,
                    help="summary sidecar path (default: <output>.summary.json)")

@@ -122,7 +122,7 @@ class QSVerdict:
     orbit slice of the weighted F_p^* action, yet ``witnesses`` lists every
     singular point of the field, in ascending order, each re-verified.
     ``points_scanned`` counts the nonzero points the verdict decides: p^(N+1)-1
-    per exhaustive field, the nonzero draws per sampled one.
+    per exhaustive field, the distinct nonzero draws per sampled one.
     """
 
     status: str
@@ -225,14 +225,14 @@ def quasi_smooth_probe(
     """Scan nonzero points of F_p^(N+1) for singular points of the affine cone.
 
     Fields with p^(N+1) <= max_points are scanned exhaustively; larger ones
-    by ``sample_count`` seeded uniform draws (deterministic).  An exhaustive
-    scan evaluates one orbit slice (``_orbit_slice``): the equations are
-    weighted homogeneous, so vanishing and Jacobian rank are constant on each
-    orbit of the weighted F_p^* action, in every characteristic.  The singular
-    slice points are expanded to their orbits and every expanded point is
-    re-verified.  Primes dividing a weight or degree are excluded unless
-    ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
-    prime.
+    by ``sample_count`` seeded uniform draws (deterministic), each distinct
+    point scanned once.  An exhaustive scan evaluates one orbit slice
+    (``_orbit_slice``): the equations are weighted homogeneous, so vanishing
+    and Jacobian rank are constant on each orbit of the weighted F_p^* action,
+    in every characteristic.  The singular slice points are expanded to their
+    orbits and every expanded point is re-verified.  Primes dividing a weight
+    or degree are excluded unless ``allow_bad_primes``.  A rational-coefficient
+    system is reduced mod each prime.
     """
     primes = tuple(dict.fromkeys(int(p) for p in primes))
     if not allow_bad_primes:
@@ -261,7 +261,8 @@ def quasi_smooth_probe(
             points = _orbit_slice(p, fsys.weights.entries)
         else:
             rng = random.Random(seed)
-            points = (
+            # A repeated draw is evaluated and counted once, in first-draw order.
+            points = dict.fromkeys(
                 tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count)
             )
             all_exhaustive = False

@@ -71,9 +71,6 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -147,9 +144,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -281,9 +275,6 @@ class SparsePoly:
             else:
                 chunks.append(f" - {body}" if negative else f" + {body}")
         return "".join(chunks)
-
-    def evaluate(self, point):
-        return evaluate(self, point)
 
 
 def monomials_of_degree(weights, degree: int):

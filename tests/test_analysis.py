@@ -18,7 +18,6 @@ from wcikit import (
     adjunction_data,
     classify,
     dimca_codim,
-    dimension,
     is_linear_cone,
     is_representable,
     is_weakly_well_formed,
@@ -65,9 +64,9 @@ class TestSpecType:
             WCISpec((1, 1, 2), (0,))
 
     def test_dimension_examples(self):
-        assert dimension(S5) == 2
-        assert dimension(S3) == 1
-        assert dimension(WCISpec((1, 1, 1, 1), (2, 3))) == 1
+        assert S5.dimension == 2
+        assert S3.dimension == 1
+        assert WCISpec((1, 1, 1, 1), (2, 3)).dimension == 1
 
     def test_key(self):
         assert S5.key() == "1,1,2,2,2/3,4"
@@ -228,6 +227,30 @@ class TestWellFormedPredicates:
         assert ok is False
         rep = classify(spec)
         assert rep.sing_intersection_dim == 1
+
+    def test_weak_evidence_against_enumeration(self):
+        # Every singular stratum of dimension dim_X - 1 on which no degree is
+        # representable, in index order, by brute force.
+        from math import gcd
+
+        checked = 0
+        for w in ascending_tuples(5, 1, 6, 14):
+            if not is_well_formed_space(w):
+                continue
+            for degrees in [(2,), (3,), (4,), (6,), (2, 3), (4, 6), (6, 6), (2, 3, 5)]:
+                spec = WCISpec(w, degrees)
+                expected = [
+                    Stratum.of(w, idx)
+                    for idx in combinations(range(len(w)), spec.dimension)
+                    if gcd(*(w[i] for i in idx)) > 1
+                    and not any(brute_force_representable(d, [w[i] for i in idx]) for d in degrees)
+                ]
+                weak, evidence = is_weakly_well_formed(spec)
+                assert evidence == expected, spec.key()
+                assert weak == (not expected), spec.key()
+                assert is_well_formed(spec)[0] == classify(spec).well_formed
+                checked += bool(expected)
+        assert checked
 
 
 class TestAdjunction:

@@ -132,7 +132,6 @@ class TestRunCensus:
         records, summary = run_census(bounds)
         assert summary.total == len(records)
         assert summary.well_formed + summary.weakly_only + summary.neither == summary.total
-        assert summary.refuted == ()
 
     def test_probe_attaches_verdicts(self):
         bounds = CensusBounds(

@@ -120,6 +120,18 @@ class TestQuasiSmoothProbe:
         assert not verdict.exhaustive
         assert verdict.points_scanned <= 500
 
+    def test_sampling_scans_each_point_once(self):
+        # 2000 draws from the 625 points of F_5^4 repeat most of them.
+        sys_ = PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2)
+        verdict = quasi_smooth_probe(sys_, (5,), max_points=100, sample_count=2000, seed=5)
+        rng = random.Random(5)
+        draws = {tuple(rng.randrange(5) for _ in range(4)) for _ in range(2000)}
+        points = [pt.coords for _, pt in verdict.witnesses]
+        assert points and len(set(points)) == len(points)
+        assert verdict.points_scanned == len(draws - {(0, 0, 0, 0)}) <= 5**4 - 1
+        full = quasi_smooth_probe(sys_, (5,))
+        assert set(points) <= {pt.coords for _, pt in full.witnesses}
+
     def test_generic_surface_family_witness_on_stratum(self):
         # Weakly-but-not-well-formed family of dimension 3: witnesses appear
         # on the even stratum (seed chosen by a prior exhaustive scan).
@@ -307,7 +319,9 @@ def reference_probe(sys_, p, max_points=10**7, sample_count=100_000, seed=0):
         points = itertools.product(range(p), repeat=n1)
     else:
         rng = random.Random(seed)
-        points = (tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count))
+        points = dict.fromkeys(
+            tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count)
+        )
     witnesses, scanned = [], 0
     for pt in points:
         if not any(pt):
