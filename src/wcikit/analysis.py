@@ -11,7 +11,7 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -164,7 +164,7 @@ def is_representable(d: int, weight_multiset) -> bool:
     return _representable(d, ws)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _representable(d: int, ws: tuple[int, ...]) -> bool:
     reach = bytearray(d + 1)
     reach[0] = 1
@@ -205,7 +205,7 @@ def dimca_codim(spec: WCISpec, delta: int) -> int:
     return k_delta - n_delta + spec.weights.dim - spec.codimension + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _singular_subsets(entries: tuple[int, ...], size: int) -> tuple:
     """All index subsets of the given size whose weights share a divisor > 1."""
     if size < 1 or size > len(entries) or all(a == 1 for a in entries):
@@ -253,10 +253,28 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
     an exact rational.  Both carry geometric meaning only for quasi-smooth
     well-formed families; the classification report flags the caveats."""
     amplitude = sum(spec.degrees) - sum(spec.weights.entries)
-    self_int = Fraction(amplitude) ** spec.dimension * Fraction(
-        prod(spec.degrees), prod(spec.weights.entries)
+    self_int = Fraction(
+        amplitude**spec.dimension * prod(spec.degrees), prod(spec.weights.entries)
     )
     return amplitude, self_int
+
+
+@lru_cache(maxsize=1024)
+def _ambient(weights: Weights):
+    """The weight-only facts ``classify`` needs: None for a non-well-formed
+    ambient, otherwise one (stratum, stratum weights, count of weights delta
+    divides) triple per stratum of the covering family."""
+    if not is_well_formed_space(weights):
+        return None
+    out = []
+    for st in singular_strata(weights, maximal_only=True):
+        stratum_weights = weights.at(st.indices)
+        if gcd(*stratum_weights) != st.delta:
+            raise ValueError(
+                f"stratum delta {st.delta} does not match gcd {gcd(*stratum_weights)} of weights {stratum_weights}"
+            )
+        out.append((st, stratum_weights, sum(1 for a in weights if a % st.delta == 0)))
+    return tuple(out)
 
 
 def classify(spec: WCISpec) -> AnalysisReport:
@@ -265,18 +283,32 @@ def classify(spec: WCISpec) -> AnalysisReport:
     The comparison theorem concerns quasi-smooth families of dimension at
     least 3 that are not intersections with a linear cone; inside that range
     differing verdicts imply the general member is not quasi-smooth.
+
+    The facts that depend on the weights alone (well-formedness of the
+    ambient, its covering strata and their weights, the weight half of the
+    Dimca count) are computed once per weight tuple and kept in a bounded
+    cache; each call only does the work that depends on the degrees.
     """
     dim_x = spec.dimension
-    space_well_formed = is_well_formed_space(spec.weights)
+    degrees = spec.degrees
+    ambient = _ambient(spec.weights)
+    space_well_formed = ambient is not None
     inters = []
     if space_well_formed:
-        for st in singular_strata(spec.weights, maximal_only=True):
-            si = stratum_intersection(spec, st)
-            dc = dimca_codim(spec, st.delta)
+        # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
+        codim_base = spec.weights.dim - len(degrees) + 1
+        for st, stratum_weights, n_delta in ambient:
+            cutting = tuple(
+                j for j, d in enumerate(degrees) if is_representable(d, stratum_weights)
+            )
+            dim_general = max(st.dim - len(cutting), -1)
+            dc = sum(1 for d in degrees if d % st.delta == 0) - n_delta + codim_base
             # Compare dimensions with both sides floored at -1: below that both
             # formulas just mean the empty set.
-            agrees = max(dim_x - dc, -1) == si.dim_general
-            inters.append(replace(si, dimca_codim=dc, dimca_agrees=agrees))
+            agrees = max(dim_x - dc, -1) == dim_general
+            inters.append(
+                StratumIntersection(st, cutting, dim_general, not cutting, dc, agrees)
+            )
         # A contained stratum of codimension one in the family forces the
         # singular intersection up to dim_X - 1 even when the covering family's
         # per-stratum model misses it (the restrictions need not cut
@@ -286,9 +318,9 @@ def classify(spec: WCISpec) -> AnalysisReport:
         for idx, delta in _singular_subsets(spec.weights.entries, dim_x):
             stratum_weights = spec.weights.at(idx)
             if idx not in known and not any(
-                is_representable(d, stratum_weights) for d in spec.degrees
+                is_representable(d, stratum_weights) for d in degrees
             ):
-                inters.append(stratum_intersection(spec, Stratum(idx, delta)))
+                inters.append(StratumIntersection(Stratum(idx, delta), (), dim_x - 1, True))
         inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
     sing_dim = max((si.dim_general for si in inters), default=-1)
     well_formed = space_well_formed and dim_x - sing_dim >= 2

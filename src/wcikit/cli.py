@@ -19,6 +19,10 @@ from .oracle import (
     DEFAULT_PRIMES,
     DEFAULT_SAMPLE_COUNT,
     EXHAUSTIVE_LIMIT,
+    STATUS_NO_WITNESS,
+    STATUS_SINGULAR_WITNESS,
+    QSVerdict,
+    probe_primes,
     quasi_smooth_probe,
     wf_witness_search,
 )
@@ -118,15 +122,33 @@ def cmd_witness(args) -> int:
 def cmd_probe(args) -> int:
     spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
     primes = _parse_int_list(args.primes, "primes")
-    sys_ = _load_system(args, spec, primes[0])
-    verdict = quasi_smooth_probe(
-        sys_,
-        primes,
-        args.max_points,
-        sample_count=args.sample_count,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        allow_bad_primes=args.allow_bad_primes,
-    )
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
+
+    def probe(sys_, field_primes) -> QSVerdict:
+        return quasi_smooth_probe(
+            sys_,
+            field_primes,
+            args.max_points,
+            sample_count=args.sample_count,
+            seed=seed,
+            allow_bad_primes=args.allow_bad_primes,
+        )
+
+    if args.poly_file:
+        verdict = probe(_load_system(args, spec, primes[0]), primes)
+    else:
+        # A generic member is drawn over one prime field, so each field gets
+        # its own draw and probe; the verdicts join as one call would report.
+        primes = probe_primes(primes, spec.weights, spec.degrees, args.allow_bad_primes)
+        verdicts = [probe(_load_system(args, spec, p), (p,)) for p in primes]
+        witnesses = tuple(w for v in verdicts for w in v.witnesses)
+        verdict = QSVerdict(
+            STATUS_SINGULAR_WITNESS if witnesses else STATUS_NO_WITNESS,
+            witnesses,
+            primes,
+            sum(v.points_scanned for v in verdicts),
+            all(v.exhaustive for v in verdicts),
+        )
     _emit(args, verdict.to_json())
     return EXIT_OK
 

@@ -112,6 +112,24 @@ def hygienic_primes(primes, weights, degrees) -> tuple[int, ...]:
     return tuple(p for p in primes if all(v % p for v in values))
 
 
+def probe_primes(primes, weights, degrees, allow_bad_primes: bool) -> tuple[int, ...]:
+    """The fields a probe scans: the distinct primes in the given order, each
+    checked to be a prime below 2^16, without those dividing a weight or
+    degree unless ``allow_bad_primes``.  Raises ValueError if none is left."""
+    primes = tuple(dict.fromkeys(int(p) for p in primes))
+    for p in primes:
+        GF(p)
+    if allow_bad_primes:
+        return primes
+    usable = hygienic_primes(primes, weights, degrees)
+    if not usable:
+        raise ValueError(
+            f"all of the primes {list(primes)} divide a weight or degree; "
+            "pass allow_bad_primes=True to probe anyway"
+        )
+    return usable
+
+
 @dataclass(frozen=True)
 class QSVerdict:
     """Outcome of a quasi-smoothness probe.
@@ -234,15 +252,7 @@ def quasi_smooth_probe(
     or degree are excluded unless ``allow_bad_primes``.  A rational-coefficient
     system is reduced mod each prime.
     """
-    primes = tuple(dict.fromkeys(int(p) for p in primes))
-    if not allow_bad_primes:
-        usable = hygienic_primes(primes, sys.weights, sys.degrees)
-        if not usable:
-            raise ValueError(
-                f"all of the primes {list(primes)} divide a weight or degree; "
-                "pass allow_bad_primes=True to probe anyway"
-            )
-        primes = usable
+    primes = probe_primes(primes, sys.weights, sys.degrees, allow_bad_primes)
     k = len(sys.polys)
     n1 = len(sys.weights)
     witnesses = []

@@ -1,7 +1,9 @@
 """Tests for the classification of weighted complete intersection families."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -15,6 +17,7 @@ from wcikit import (
     THEOREM_NOT_APPLICABLE_LINEAR_CONE,
     Stratum,
     WCISpec,
+    Weights,
     adjunction_data,
     classify,
     dimca_codim,
@@ -23,6 +26,7 @@ from wcikit import (
     is_weakly_well_formed,
     is_well_formed,
     is_well_formed_space,
+    singular_strata,
     stratum_intersection,
 )
 
@@ -379,3 +383,94 @@ class TestClassify:
                             assert rep.weakly_well_formed, spec.key()
                         checked += 1
         assert checked > 50_000
+
+
+def reference_report_json(spec):
+    """classify(spec).to_json() assembled for one record from the public
+    per-stratum functions, with nothing cached across records."""
+    w, degrees, dim_x = spec.weights, spec.degrees, spec.dimension
+    space_well_formed = is_well_formed_space(w)
+    inters = []
+    if space_well_formed:
+        for st in singular_strata(w, maximal_only=True):
+            si = stratum_intersection(spec, st)
+            dc = dimca_codim(spec, st.delta)
+            agrees = max(dim_x - dc, -1) == si.dim_general
+            inters.append(replace(si, dimca_codim=dc, dimca_agrees=agrees))
+        known = {si.stratum.indices for si in inters}
+        for idx in combinations(range(len(w)), dim_x):
+            if idx not in known and gcd(*w.at(idx)) > 1:
+                si = stratum_intersection(spec, Stratum.of(w, idx))
+                if si.contained:
+                    inters.append(si)
+        inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
+    amplitude = sum(degrees) - sum(w)
+    self_int = Fraction(amplitude) ** dim_x * Fraction(prod(degrees), prod(w))
+    sing_dim = max((si.dim_general for si in inters), default=-1)
+    well_formed = space_well_formed and dim_x - sing_dim >= 2
+    weak = space_well_formed and not any(
+        si.contained and si.stratum.dim == dim_x - 1 for si in inters
+    )
+    cone = is_linear_cone(spec)
+    flags = []
+    if any(si.contained and si.dim_general == dim_x for si in inters):
+        flags.append(FLAG_DEGENERATE_CONTAINMENT)
+    if any(si.dimca_agrees is False for si in inters):
+        flags.append(FLAG_DIMCA_MISMATCH)
+    if dim_x == 2 and self_int.denominator != 1:
+        flags.append(FLAG_NONINTEGRAL_SURFACE)
+    if dim_x < 3:
+        status = THEOREM_NOT_APPLICABLE_DIM
+    elif cone:
+        status = THEOREM_NOT_APPLICABLE_LINEAR_CONE
+    elif well_formed == weak:
+        status = THEOREM_CONSISTENT
+    else:
+        status = THEOREM_IMPLIES_NOT_QUASISMOOTH
+    return {
+        "spec": spec.to_json(),
+        "space_well_formed": space_well_formed,
+        "dim_X": dim_x,
+        "linear_cone": cone,
+        "amplitude": amplitude,
+        "canonical_self_intersection": {
+            "num": self_int.numerator,
+            "den": self_int.denominator,
+        },
+        "strata": [si.to_json() for si in inters],
+        "sing_intersection_dim": sing_dim,
+        "well_formed": well_formed,
+        "weakly_well_formed": weak,
+        "theorem_status": status,
+        "flags": flags,
+    }
+
+
+class TestClassifyPerWeightTuple:
+    def test_against_per_record_reference(self):
+        # A census-style box: many degree tuples per weight tuple, ambients of
+        # equal length visited A, B, A, and each family built from both a
+        # Weights object and a plain tuple.  Non-well-formed ambients stay in.
+        degree_pool = {
+            k: list(ascending_tuples(k, 1, 7, 7 * k)) for k in (1, 2)
+        }
+        seen = {"not_wf": 0, "negative": 0, "zero": 0, "positive": 0, "hidden": 0}
+        for length in (3, 4, 5):
+            tuples = list(ascending_tuples(length, 1, 6, 12))
+            for a, b in zip(tuples, tuples[1:]):
+                for k in (1, 2):
+                    if k >= length - 1:
+                        continue
+                    for degs in degree_pool[k]:
+                        for w in (a, Weights(b), Weights(a), b):
+                            spec = WCISpec(w, degs)
+                            expected = reference_report_json(spec)
+                            assert classify(spec).to_json() == expected, spec.key()
+                            amplitude = expected["amplitude"]
+                            seen["not_wf"] += not expected["space_well_formed"]
+                            seen["negative" if amplitude < 0 else
+                                 "zero" if amplitude == 0 else "positive"] += 1
+                            seen["hidden"] += any(
+                                si["dimca_codim"] is None for si in expected["strata"]
+                            )
+        assert all(seen.values()), seen

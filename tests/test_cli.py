@@ -3,6 +3,8 @@
 import json
 
 from wcikit.cli import main
+from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe
+from wcikit.poly import GF, PolySystem
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,44 @@ class TestProbe:
             "--primes", "5", "--seed", "2",
         )
         assert data["status"] == "singular_witness"
+
+    def test_generic_default_primes(self, capsys):
+        # One generic member per field, joined in prime order as one call reports.
+        joined = run_json(capsys, "probe", "1,1,1,1", "--degrees", "4")
+        single = [
+            run_json(capsys, "probe", "1,1,1,1", "--degrees", "4", "--primes", str(p))
+            for p in DEFAULT_PRIMES
+        ]
+        witnesses = [w for v in single for w in v["witnesses"]]
+        assert joined == {
+            "status": "singular_witness" if witnesses else "no_witness_found",
+            "witnesses": witnesses,
+            "fields_probed": list(DEFAULT_PRIMES),
+            "points_scanned": sum(v["points_scanned"] for v in single),
+            "exhaustive": True,
+        }
+        assert [w["prime"] for w in witnesses] == sorted(w["prime"] for w in witnesses)
+
+    def test_generic_drops_bad_primes_first(self, capsys):
+        # 3 divides the degree 3, so only GF(5) and GF(7) are drawn and probed.
+        data = run_json(capsys, "probe", "1,1,2,2,2", "--degrees", "3,4", "--primes", "3,5,7")
+        assert data["fields_probed"] == [5, 7] and data["exhaustive"] is True
+
+    def test_generic_single_prime_unchanged(self, capsys):
+        data = run_json(
+            capsys, "probe", "1,1,2,2,2,2", "--degrees", "3,4", "--primes", "5", "--seed", "2",
+        )
+        system = PolySystem.generic((1, 1, 2, 2, 2, 2), (3, 4), GF(5), 2)
+        assert data == quasi_smooth_probe(system, [5], seed=2).to_json()
+
+    def test_bad_prime_exits_2(self, capsys, tmp_path):
+        poly_file = tmp_path / "sys.txt"
+        poly_file.write_text("x0*x1\n")
+        for extra in ((), ("--poly-file", str(poly_file))):
+            code, _, err = run_cli(
+                capsys, "probe", "1,1,1", "--degrees", "2", "--primes", "0,5", *extra,
+            )
+            assert code == 2 and "not a prime" in err
 
     def test_all_primes_bad_exits_2(self, capsys):
         code, _, err = run_cli(
