@@ -75,6 +75,10 @@ class ProbeBudget:
     sample_count: int = 20_000
     seed: int = 1
 
+    def __post_init__(self):
+        for p in self.primes:
+            GF(p)
+
     def to_json(self) -> dict:
         return {
             "primes": list(self.primes),

@@ -19,8 +19,6 @@ from .oracle import (
     DEFAULT_PRIMES,
     DEFAULT_SAMPLE_COUNT,
     EXHAUSTIVE_LIMIT,
-    STATUS_NO_WITNESS,
-    STATUS_SINGULAR_WITNESS,
     QSVerdict,
     probe_primes,
     quasi_smooth_probe,
@@ -53,14 +51,15 @@ def _emit(args, obj) -> None:
 
 
 def _verbose(args, message: str) -> None:
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
-def _load_system(args, spec: WCISpec, prime: int) -> PolySystem:
-    """Polynomials from --poly-file (one per line, rational coefficients) or a
-    generic system over GF(prime) from --seed."""
-    if getattr(args, "poly_file", None):
+def _load_system(args, spec: WCISpec):
+    """The member to scan over each prime field, as a function of the prime:
+    the polynomials of --poly-file (one per line, rational coefficients, read
+    once) or a generic system over GF(prime) from --seed."""
+    if args.poly_file:
         lines = [
             line.strip()
             for line in Path(args.poly_file).read_text(encoding="utf-8").splitlines()
@@ -72,9 +71,8 @@ def _load_system(args, spec: WCISpec, prime: int) -> PolySystem:
             raise ValueError(
                 f"polynomial degrees {sys_.degrees} do not match --degrees {spec.degrees}"
             )
-        return sys_
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    return PolySystem.generic(spec.weights, spec.degrees, GF(prime), seed)
+        return lambda prime: sys_
+    return lambda prime: PolySystem.generic(spec.weights, spec.degrees, GF(prime), args.seed)
 
 
 def cmd_analyze(args) -> int:
@@ -106,15 +104,12 @@ def cmd_witness(args) -> int:
     spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
     if args.stratum:
         stratum = Stratum.of(spec.weights, _parse_int_list(args.stratum, "stratum indices"))
-        if not stratum.is_singular:
-            raise ValueError(f"stratum {args.stratum} is not singular (delta 1)")
     else:
         candidates = singular_strata(spec.weights, maximal_only=True)
         if not candidates:
             raise ValueError("the ambient space is smooth; no singular stratum to search")
         stratum = candidates[0]
-    sys_ = _load_system(args, spec, args.prime)
-    report = wf_witness_search(spec, sys_, stratum, args.prime)
+    report = wf_witness_search(spec, _load_system(args, spec)(args.prime), stratum, args.prime)
     _emit(args, report.to_json())
     return EXIT_OK
 
@@ -122,33 +117,20 @@ def cmd_witness(args) -> int:
 def cmd_probe(args) -> int:
     spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
     primes = _parse_int_list(args.primes, "primes")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-
-    def probe(sys_, field_primes) -> QSVerdict:
-        return quasi_smooth_probe(
-            sys_,
-            field_primes,
+    member = _load_system(args, spec)
+    # A generic member is drawn over one prime field, so each field is probed
+    # on its own and the verdicts join as one call over all of them would.
+    verdict = QSVerdict.join(
+        quasi_smooth_probe(
+            member(p),
+            (p,),
             args.max_points,
             sample_count=args.sample_count,
-            seed=seed,
+            seed=args.seed,
             allow_bad_primes=args.allow_bad_primes,
         )
-
-    if args.poly_file:
-        verdict = probe(_load_system(args, spec, primes[0]), primes)
-    else:
-        # A generic member is drawn over one prime field, so each field gets
-        # its own draw and probe; the verdicts join as one call would report.
-        primes = probe_primes(primes, spec.weights, spec.degrees, args.allow_bad_primes)
-        verdicts = [probe(_load_system(args, spec, p), (p,)) for p in primes]
-        witnesses = tuple(w for v in verdicts for w in v.witnesses)
-        verdict = QSVerdict(
-            STATUS_SINGULAR_WITNESS if witnesses else STATUS_NO_WITNESS,
-            witnesses,
-            primes,
-            sum(v.points_scanned for v in verdicts),
-            all(v.exhaustive for v in verdicts),
-        )
+        for p in probe_primes(primes, spec.weights, spec.degrees, args.allow_bad_primes)
+    )
     _emit(args, verdict.to_json())
     return EXIT_OK
 
@@ -205,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the JSON result to this path instead of stdout")
-        p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
 
     p = sub.add_parser("analyze", help="classify a family: well-formedness, adjunction data, theorem status")
     p.add_argument("weights", help='comma-separated weights, e.g. "1,1,2,2,2"')
@@ -230,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--stratum", default=None, help='stratum indices, e.g. "2,3,4,5" (default: top covering stratum)')
     p.add_argument("--prime", type=int, required=True, help="prime field to scan")
-    p.add_argument("--seed", type=int, default=None, help=f"generic-system seed (default {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"generic-system seed (default {DEFAULT_SEED})")
     p.add_argument("--poly-file", default=None, help="explicit polynomials, one per line")
     common(p)
     p.set_defaults(func=cmd_witness)
@@ -244,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaustive-scan threshold on p^(N+1)")
     p.add_argument("--sample-count", type=int, default=DEFAULT_SAMPLE_COUNT,
                    help="seeded sample size beyond the exhaustive threshold")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--poly-file", default=None)
     p.add_argument("--allow-bad-primes", action="store_true",
                    help="keep primes dividing a weight or degree")
@@ -267,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--summary", default=None,
                    help="summary sidecar path (default: <output>.summary.json)")
+    p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
     common(p)
     p.set_defaults(func=cmd_census)
 

@@ -17,7 +17,6 @@ from .analysis import WCISpec
 from .poly import (
     GF,
     PolySystem,
-    PrimeField,
     SparsePoly,
     evaluate,
     partial_derivative,
@@ -134,20 +133,37 @@ def probe_primes(primes, weights, degrees, allow_bad_primes: bool) -> tuple[int,
 class QSVerdict:
     """Outcome of a quasi-smoothness probe.
 
-    ``singular_witness`` is definitive for the scanned member; absence of
-    witnesses is one-sided evidence.  ``exhaustive`` is true only when every
-    probed field was scanned completely.  An exhaustive scan evaluates one
-    orbit slice of the weighted F_p^* action, yet ``witnesses`` lists every
+    ``status`` follows from ``witnesses``: ``singular_witness`` if there are
+    any, definitive for the scanned member, else ``no_witness_found``, which
+    is one-sided evidence.  ``exhaustive`` is true only when every probed
+    field was scanned completely.  An exhaustive scan evaluates one orbit
+    slice of the weighted F_p^* action, yet ``witnesses`` lists every
     singular point of the field, in ascending order, each re-verified.
     ``points_scanned`` counts the nonzero points the verdict decides: p^(N+1)-1
     per exhaustive field, the distinct nonzero draws per sampled one.
     """
 
-    status: str
     witnesses: tuple[tuple[int, ConePoint], ...]
     fields_probed: tuple[int, ...]
     points_scanned: int
     exhaustive: bool
+
+    @property
+    def status(self) -> str:
+        return STATUS_SINGULAR_WITNESS if self.witnesses else STATUS_NO_WITNESS
+
+    @classmethod
+    def join(cls, verdicts) -> QSVerdict:
+        """One verdict over the fields of the given ones, in order: witnesses
+        and fields concatenated, points summed, exhaustive only if every field
+        was."""
+        verdicts = tuple(verdicts)
+        return cls(
+            tuple(w for v in verdicts for w in v.witnesses),
+            tuple(p for v in verdicts for p in v.fields_probed),
+            sum(v.points_scanned for v in verdicts),
+            all(v.exhaustive for v in verdicts),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -159,15 +175,6 @@ class QSVerdict:
             "points_scanned": self.points_scanned,
             "exhaustive": self.exhaustive,
         }
-
-
-def _system_over(sys: PolySystem, p: int) -> PolySystem:
-    field = GF(p)
-    if sys.field == field:
-        return sys
-    if isinstance(sys.field, PrimeField):
-        raise ValueError(f"system is over {sys.field.name}, cannot probe over GF({p})")
-    return sys.reduce_mod(p)
 
 
 def _compiled_eval(poly, powt, p):
@@ -242,25 +249,24 @@ def quasi_smooth_probe(
 ) -> QSVerdict:
     """Scan nonzero points of F_p^(N+1) for singular points of the affine cone.
 
-    Fields with p^(N+1) <= max_points are scanned exhaustively; larger ones
-    by ``sample_count`` seeded uniform draws (deterministic), each distinct
-    point scanned once.  An exhaustive scan evaluates one orbit slice
-    (``_orbit_slice``): the equations are weighted homogeneous, so vanishing
-    and Jacobian rank are constant on each orbit of the weighted F_p^* action,
-    in every characteristic.  The singular slice points are expanded to their
-    orbits and every expanded point is re-verified.  Primes dividing a weight
-    or degree are excluded unless ``allow_bad_primes``.  A rational-coefficient
-    system is reduced mod each prime.
+    The verdict is the ``QSVerdict.join`` of one scan per field of
+    ``probe_primes``.  Fields with p^(N+1) <= max_points are scanned
+    exhaustively; larger ones by ``sample_count`` seeded uniform draws
+    (deterministic), each distinct point scanned once.  An exhaustive scan
+    evaluates one orbit slice (``_orbit_slice``): the equations are weighted
+    homogeneous, so vanishing and Jacobian rank are constant on each orbit of
+    the weighted F_p^* action, in every characteristic.  The singular slice
+    points are expanded to their orbits and every expanded point is
+    re-verified.  Primes dividing a weight or degree are excluded unless
+    ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
+    prime; a system over a prime field is probed over that field only.
     """
-    primes = probe_primes(primes, sys.weights, sys.degrees, allow_bad_primes)
     k = len(sys.polys)
     n1 = len(sys.weights)
-    witnesses = []
-    scanned = 0
-    all_exhaustive = True
-    for p in primes:
-        fsys = _system_over(sys, p)
-        field = GF(p)
+    verdicts = []
+    for p in probe_primes(primes, sys.weights, sys.degrees, allow_bad_primes):
+        fsys = sys.reduce_mod(p)
+        field = fsys.field
         derivs = _jacobian(fsys)
         max_exp = max(_max_exponent(fsys.polys), _max_exponent([d for row in derivs for d in row]))
         powt = _power_table(p, max_exp)
@@ -275,13 +281,12 @@ def quasi_smooth_probe(
             points = dict.fromkeys(
                 tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count)
             )
-            all_exhaustive = False
         singular = []
-        evaluated = 0
+        scanned = 0
         for pt in points:
             if not any(pt):
                 continue
-            evaluated += 1
+            scanned += 1
             if any(fe(pt) for fe in f_evals):
                 continue
             rows = [[de(pt) for de in row] for row in d_evals]
@@ -289,17 +294,16 @@ def quasi_smooth_probe(
                 singular.append(pt)
         if exhaustive:
             # The slice decides every nonzero point of F_p^(N+1).
-            scanned += p**n1 - 1
+            scanned = p**n1 - 1
             singular = _expand_orbits(singular, fsys.weights.entries, p)
-        else:
-            scanned += evaluated
+        witnesses = []
         for pt in singular:
             point = ConePoint(pt)
             if not is_singular_witness(fsys, point):
                 raise RuntimeError(f"internal: witness {pt} failed re-verification")
             witnesses.append((p, point))
-    status = STATUS_SINGULAR_WITNESS if witnesses else STATUS_NO_WITNESS
-    return QSVerdict(status, tuple(witnesses), primes, scanned, all_exhaustive)
+        verdicts.append(QSVerdict(tuple(witnesses), (p,), scanned, exhaustive))
+    return QSVerdict.join(verdicts)
 
 
 def determinantal_codim_bound(r: int, m: int, u: int) -> int:
@@ -380,14 +384,14 @@ def wf_witness_search(
         raise ValueError(f"stratum indices {list(stratum.indices)} out of range")
     if gcd(*spec.weights.at(stratum.indices)) != stratum.delta:
         raise ValueError("stratum delta does not match the family weights")
-    fsys = _system_over(sys, p)
+    fsys = sys.reduce_mod(p)
     if fsys.weights != spec.weights:
         raise ValueError("system weights do not match the family weights")
     if fsys.degrees != spec.degrees:
         raise ValueError(
             f"system degrees {fsys.degrees} do not match the family degrees {spec.degrees}"
         )
-    field = GF(p)
+    field = fsys.field
     k = len(fsys.polys)
     n1 = len(spec.weights)
     on_idx = stratum.indices
@@ -406,7 +410,11 @@ def wf_witness_search(
 
     jac = _jacobian(fsys)
     g_rows = [[restrict(jac[j][i], on_idx) for i in off_idx] for j in vanishing]
-    escape = any(bool(g.constant_term()) for row in g_rows for g in row)
+    # The restricted partials at the origin: a nonzero entry is the linear-cone
+    # escape, a rank drop puts the origin in Z.
+    at_origin = [[g.constant_term() for g in row] for row in g_rows]
+    escape = any(v for row in at_origin for v in row)
+    origin_in_z = matrix_rank(at_origin, field) < r
     remaining = [restrictions[j] for j in range(k) if j not in vanishing]
 
     flat_g = [g for row in g_rows for g in row]
@@ -414,11 +422,6 @@ def wf_witness_search(
     powt = _power_table(p, max_exp)
     g_evals = [[_compiled_eval(g, powt, p) for g in row] for row in g_rows]
     rem_evals = [_compiled_eval(f, powt, p) for f in remaining]
-
-    origin = (0,) * n1
-    origin_in_z = (
-        matrix_rank([[evaluate(g, origin) for g in row] for row in g_rows], field) < r
-    )
 
     # Z and S are unions of orbits of the weighted action (the entries of row
     # j scale by lambda^(d_j - a_i), the remaining equations by lambda^(d_j)),

@@ -380,18 +380,7 @@ def parse_poly(text: str, weights, field) -> SparsePoly:
         else:
             raise ParseError("expected '+', '-', or end of input", pos)
         advance()
-
-    common_degree = None
-    first_mono = None
-    for exps, _ in raw_terms:
-        d = weighted_degree(exps, w)
-        if common_degree is None:
-            common_degree, first_mono = d, exps
-        elif d != common_degree:
-            raise DegreeMismatchError(
-                _format_monomial(first_mono), common_degree, _format_monomial(exps), d
-            )
-    return SparsePoly.from_terms(field, w, raw_terms, degree=common_degree)
+    return SparsePoly.from_terms(field, w, raw_terms)
 
 
 def _tokenize(text: str):
@@ -540,6 +529,11 @@ class PolySystem:
         )
 
     def reduce_mod(self, p: int) -> "PolySystem":
+        """The system over GF(p): itself if it is already there, else each
+        rational polynomial reduced mod p (``to_prime_field`` refuses any other
+        prime field)."""
+        if self.field == GF(p):
+            return self
         return PolySystem(tuple(to_prime_field(f, p) for f in self.polys))
 
     def to_json(self) -> list[str]:

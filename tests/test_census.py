@@ -47,6 +47,14 @@ class TestBounds:
             CensusBounds.from_json({"max_n": 1, "bogus": 2})
 
 
+class TestProbeBudget:
+    def test_validates_primes(self):
+        for primes in ((0,), (1,), (4,), (5, 4), (65537,)):
+            with pytest.raises(ValueError, match="not a prime below 2\\^16"):
+                ProbeBudget(primes=primes)
+        assert ProbeBudget(primes=(2, 5, 65521)).primes == (2, 5, 65521)
+
+
 class TestEnumerate:
     def test_tiny_stream_contents(self):
         keys = [s.key() for s in enumerate_specs(TINY)]

@@ -4,7 +4,7 @@ import json
 
 from wcikit.cli import main
 from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe
-from wcikit.poly import GF, PolySystem
+from wcikit.poly import GF, QQ, PolySystem, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,20 @@ class TestProbe:
         assert data["status"] == "no_witness_found"
         assert data["fields_probed"] == [5, 7] and data["exhaustive"] is True
 
+    def test_poly_file_multi_prime_equals_one_call(self, capsys, tmp_path):
+        # A rank-3 quadric cone in P^3 is singular at (0:0:0:1); GF(3)^4 and
+        # GF(5)^4 are scanned exhaustively, GF(7)^4 is sampled.
+        poly_file = tmp_path / "cone.txt"
+        poly_file.write_text("x0*x1 + x2^2\n")
+        data = run_json(
+            capsys, "probe", "1,1,1,1", "--degrees", "2", "--poly-file", str(poly_file),
+            "--primes", "3,5,7", "--max-points", "1000", "--sample-count", "500", "--seed", "4",
+        )
+        system = PolySystem((parse_poly("x0*x1 + x2^2", (1, 1, 1, 1), QQ),))
+        expected = quasi_smooth_probe(system, (3, 5, 7), 1000, sample_count=500, seed=4)
+        assert {p for p, _ in expected.witnesses} == {3, 5, 7} and not expected.exhaustive
+        assert data == expected.to_json()
+
     def test_generic_seeded(self, capsys):
         data = run_json(
             capsys, "probe", "1,1,2,2,2,2", "--degrees", "3,4",
@@ -243,6 +257,27 @@ class TestCensus:
         )
         assert code == 2
 
+    def test_bad_probe_primes_exit_2_before_classifying(self, capsys, tmp_path, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        for primes in ("0", "1", "4", "5,4"):
+            code, _, err = run_cli(
+                capsys, "census", "--max-n", "5", "--max-weight", "2",
+                "--max-weight-sum", "11", "--max-k", "2", "--max-degree", "4",
+                "--probe", "--probe-primes", primes, "--output", str(tmp_path / "c.jsonl"),
+            )
+            assert code == 2 and "not a prime below 2^16" in err, (primes, err)
+
+    def test_verbose_progress_notes(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "census", "--max-n", "2", "--max-weight", "2",
+            "--max-weight-sum", "4", "--max-k", "1", "--max-degree", "2",
+            "--output", str(tmp_path / "c.jsonl"), "--verbose",
+        )
+        assert code == 0 and "census bounds" in err and "wrote 6 records" in err
+
     def test_missing_bounds_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "census", "--max-n", "2", "--output", "/tmp/x.jsonl")
         assert code == 2 and "missing census bounds" in err
@@ -254,6 +289,17 @@ class TestHarness:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(capsys, "analyze", "1,1", "--bogus")[0] == 2
+
+    def test_verbose_only_on_census(self, capsys):
+        for argv in (
+            ("analyze", "1,1,2,2,2", "--degrees", "3,4"),
+            ("wellform", "4,6,10"),
+            ("strata", "1,1,2,2,2"),
+            ("witness", "1,1,2,2,2,2", "--degrees", "3,4", "--prime", "5"),
+            ("probe", "1,1,1,1", "--degrees", "3", "--primes", "5"),
+        ):
+            code, _, err = run_cli(capsys, *argv, "--verbose")
+            assert code == 2 and "--verbose" in err, argv
 
     def test_version(self, capsys):
         code, out, err = run_cli(capsys, "--version")

@@ -11,6 +11,7 @@ from wcikit import (
     QQ,
     ConePoint,
     PolySystem,
+    QSVerdict,
     Stratum,
     WCISpec,
     determinantal_codim_bound,
@@ -140,6 +141,39 @@ class TestQuasiSmoothProbe:
         verdict = quasi_smooth_probe(sys_, (5,))
         assert verdict.status == "singular_witness"
         assert any(pt.coords[0] == 0 and pt.coords[1] == 0 for _, pt in verdict.witnesses)
+
+
+class TestVerdictJoin:
+    def test_multi_prime_probe_is_join_of_single_prime_probes(self):
+        for kwargs in ({}, {"max_points": 200, "sample_count": 100, "seed": 3}):
+            # With max_points=200, GF(5)^3 is scanned exhaustively and GF(7)^3 sampled.
+            joined = QSVerdict.join(quasi_smooth_probe(NODE, (p,), **kwargs) for p in (5, 7))
+            assert quasi_smooth_probe(NODE, (5, 7), **kwargs) == joined
+        assert joined.fields_probed == (5, 7) and not joined.exhaustive
+
+    def test_join_order_and_fields(self):
+        clean = QSVerdict((), (5,), 624, True)
+        singular = QSVerdict(((7, ConePoint((0, 0, 1))),), (7,), 50, False)
+        joined = QSVerdict.join([clean, singular])
+        assert joined == QSVerdict(((7, ConePoint((0, 0, 1))),), (5, 7), 674, False)
+        assert QSVerdict.join([clean, clean]).exhaustive
+
+    def test_status_follows_witnesses(self):
+        singular = quasi_smooth_probe(NODE, (5,))
+        smooth = quasi_smooth_probe(FERMAT, (5,))
+        assert singular.witnesses and singular.status == "singular_witness"
+        assert not smooth.witnesses and smooth.status == "no_witness_found"
+        assert singular.to_json()["status"] == "singular_witness"
+        assert smooth.to_json()["status"] == "no_witness_found"
+        with pytest.raises(TypeError):
+            QSVerdict("singular_witness", (), (5,), 0, True)  # status is not a field
+
+    def test_prime_field_system_probed_over_its_field_only(self):
+        sys3 = PolySystem.generic((1, 1, 1), (2,), GF(3), 1)
+        assert sys3.reduce_mod(3) is sys3
+        assert quasi_smooth_probe(sys3, (3,)).fields_probed == (3,)
+        with pytest.raises(ValueError, match=r"cannot move a GF\(3\) polynomial to GF\(5\)"):
+            quasi_smooth_probe(sys3, (5,))
 
 
 class TestDeterminantalBound:
@@ -283,6 +317,35 @@ class TestWitnessSearch:
         ):
             assert key in data
         assert all(isinstance(pt, list) for pt in data["Z_points"])
+
+    def test_origin_facts_match_evaluation_at_origin(self):
+        # origin_in_Z and linear_cone_escape against the restricted partials
+        # evaluated at the origin through the generic evaluator.
+        cases = [
+            ((1, 1, 2), (1,), (2,), 5),
+            ((1, 1, 2), (4,), (2,), 5),
+            ((1, 1, 2, 2, 2, 2), (3, 4), (2, 3, 4, 5), 7),
+            ((1, 1, 2, 2, 2), (1, 4), (2, 3, 4), 5),
+            ((1, 2, 2, 3), (3,), (1, 2), 5),
+        ]
+        escapes = set()
+        for w, degs, lam_idx, p in cases:
+            spec = WCISpec(w, degs)
+            lam = Stratum.of(spec.weights, lam_idx)
+            sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(p), 2)
+            report = wf_witness_search(spec, sys_, lam, p)
+            if report.status != "searched":
+                continue
+            off_idx = [i for i in range(len(w)) if i not in lam_idx]
+            at_origin = [
+                [evaluate(restrict(partial_derivative(sys_.polys[j], i), lam_idx), (0,) * len(w))
+                 for i in off_idx]
+                for j in report.vanishing_poly_indices
+            ]
+            assert report.linear_cone_escape == any(v for row in at_origin for v in row)
+            assert report.origin_in_z == (matrix_rank(at_origin, GF(p)) < report.r)
+            escapes.add(report.linear_cone_escape)
+        assert escapes == {True, False}
 
     def test_origin_in_z_for_positive_degree_entries(self):
         # Generic engaged searches without the linear-cone escape always put
