@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, prod
 
 from .weights import (
     MAX_ENTRY,
     Stratum,
     Weights,
+    _singular_index_sets,
     as_weights,
     is_well_formed_space,
     singular_strata,
@@ -178,14 +178,7 @@ def _representable(d: int, ws: tuple[int, ...]) -> bool:
 def stratum_intersection(spec: WCISpec, stratum: Stratum) -> StratumIntersection:
     """Intersection of the general member with one stratum, in the
     one-cut-per-surviving-degree model."""
-    w = spec.weights
-    if stratum.indices[-1] > w.dim:
-        raise ValueError(f"stratum indices {list(stratum.indices)} out of range for {len(w)} coordinates")
-    stratum_weights = w.at(stratum.indices)
-    if gcd(*stratum_weights) != stratum.delta:
-        raise ValueError(
-            f"stratum delta {stratum.delta} does not match gcd {gcd(*stratum_weights)} of weights {stratum_weights}"
-        )
+    stratum_weights = stratum.weights_in(spec.weights)
     cutting = tuple(
         j for j, d in enumerate(spec.degrees) if is_representable(d, stratum_weights)
     )
@@ -203,23 +196,6 @@ def dimca_codim(spec: WCISpec, delta: int) -> int:
     k_delta = sum(1 for d in spec.degrees if d % delta == 0)
     n_delta = sum(1 for a in spec.weights if a % delta == 0)
     return k_delta - n_delta + spec.weights.dim - spec.codimension + 1
-
-
-@lru_cache(maxsize=128)
-def _singular_subsets(entries: tuple[int, ...], size: int) -> tuple:
-    """All index subsets of the given size whose weights share a divisor > 1."""
-    if size < 1 or size > len(entries) or all(a == 1 for a in entries):
-        return ()
-    out = []
-    for idx in combinations(range(len(entries)), size):
-        g = 0
-        for i in idx:
-            g = gcd(g, entries[i])
-            if g == 1:
-                break
-        if g > 1:
-            out.append((idx, g))
-    return tuple(out)
 
 
 def is_well_formed(spec: WCISpec) -> tuple[bool, list[StratumIntersection]]:
@@ -260,21 +236,21 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
 
 
 @lru_cache(maxsize=1024)
-def _ambient(weights: Weights):
-    """The weight-only facts ``classify`` needs: None for a non-well-formed
+def _ambient(weights: Weights, dim_x: int):
+    """The degree-free facts ``classify`` needs: None for a non-well-formed
     ambient, otherwise one (stratum, stratum weights, count of weights delta
-    divides) triple per stratum of the covering family."""
+    divides) triple per covering stratum, and the weak candidates: the other
+    singular strata of dimension dim_x - 1."""
     if not is_well_formed_space(weights):
         return None
-    out = []
-    for st in singular_strata(weights, maximal_only=True):
-        stratum_weights = weights.at(st.indices)
-        if gcd(*stratum_weights) != st.delta:
-            raise ValueError(
-                f"stratum delta {st.delta} does not match gcd {gcd(*stratum_weights)} of weights {stratum_weights}"
-            )
-        out.append((st, stratum_weights, sum(1 for a in weights if a % st.delta == 0)))
-    return tuple(out)
+    covering = tuple(
+        (st, st.weights_in(weights), sum(1 for a in weights if a % st.delta == 0))
+        for st in singular_strata(weights, maximal_only=True)
+    )
+    known = {st.indices for st, _, _ in covering}
+    # Sorted, so classify's final sort merges two sorted runs.
+    weak = sorted(idx for idx in _singular_index_sets(weights.entries, (dim_x,)) if idx not in known)
+    return covering, tuple(Stratum(idx, gcd(*weights.at(idx))) for idx in weak)
 
 
 def classify(spec: WCISpec) -> AnalysisReport:
@@ -284,20 +260,21 @@ def classify(spec: WCISpec) -> AnalysisReport:
     least 3 that are not intersections with a linear cone; inside that range
     differing verdicts imply the general member is not quasi-smooth.
 
-    The facts that depend on the weights alone (well-formedness of the
+    The facts that do not depend on the degrees (well-formedness of the
     ambient, its covering strata and their weights, the weight half of the
-    Dimca count) are computed once per weight tuple and kept in a bounded
-    cache; each call only does the work that depends on the degrees.
+    Dimca count, the weak candidates) are computed once per weight tuple and
+    dimension in a bounded cache; each call does the work on the degrees.
     """
     dim_x = spec.dimension
     degrees = spec.degrees
-    ambient = _ambient(spec.weights)
+    ambient = _ambient(spec.weights, dim_x)
     space_well_formed = ambient is not None
     inters = []
     if space_well_formed:
+        covering, weak = ambient
         # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
         codim_base = spec.weights.dim - len(degrees) + 1
-        for st, stratum_weights, n_delta in ambient:
+        for st, stratum_weights, n_delta in covering:
             cutting = tuple(
                 j for j, d in enumerate(degrees) if is_representable(d, stratum_weights)
             )
@@ -314,13 +291,10 @@ def classify(spec: WCISpec) -> AnalysisReport:
         # per-stratum model misses it (the restrictions need not cut
         # independently); fold those strata in so well_formed cannot contradict
         # weakly_well_formed.
-        known = {si.stratum.indices for si in inters}
-        for idx, delta in _singular_subsets(spec.weights.entries, dim_x):
-            stratum_weights = spec.weights.at(idx)
-            if idx not in known and not any(
-                is_representable(d, stratum_weights) for d in degrees
-            ):
-                inters.append(StratumIntersection(Stratum(idx, delta), (), dim_x - 1, True))
+        for st in weak:
+            stratum_weights = spec.weights.at(st.indices)
+            if not any(is_representable(d, stratum_weights) for d in degrees):
+                inters.append(StratumIntersection(st, (), dim_x - 1, True))
         inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
     sing_dim = max((si.dim_general for si in inters), default=-1)
     well_formed = space_well_formed and dim_x - sing_dim >= 2

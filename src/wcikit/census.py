@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -21,7 +21,7 @@ from .analysis import (
     classify,
     is_linear_cone,
 )
-from .oracle import DEFAULT_PRIMES, QSVerdict, hygienic_primes, quasi_smooth_probe
+from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
 from .weights import Weights, is_well_formed_space
 
@@ -55,20 +55,17 @@ class CensusBounds:
         return cls(**obj)
 
     def to_json(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "max_weight": self.max_weight,
-            "max_weight_sum": self.max_weight_sum,
-            "max_k": self.max_k,
-            "max_degree": self.max_degree,
-            "require_non_linear_cone": self.require_non_linear_cone,
-            "min_dim": self.min_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class ProbeBudget:
-    """Finite-field spot-check budget for theorem-applicable census records."""
+    """Finite-field spot-check budget for theorem-applicable census records.
+
+    Each record is probed over one field only: the first of ``primes`` that
+    divides no weight or degree of the record.  The later primes are
+    fallbacks for records that the earlier ones divide, not extra fields.
+    """
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
     max_points: int = 100_000
@@ -78,14 +75,10 @@ class ProbeBudget:
     def __post_init__(self):
         for p in self.primes:
             GF(p)
+        _check_budget(self.max_points, self.sample_count)
 
     def to_json(self) -> dict:
-        return {
-            "primes": list(self.primes),
-            "max_points": self.max_points,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,15 +104,7 @@ class CensusSummary:
     probed: int
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "well_formed": self.well_formed,
-            "weakly_only": self.weakly_only,
-            "neither": self.neither,
-            "linear_cone_skipped": self.linear_cone_skipped,
-            "theorem_implies_not_quasismooth": self.theorem_implies_not_quasismooth,
-            "probed": self.probed,
-        }
+        return asdict(self)
 
 
 def _ascending_tuples(length: int, lo: int, max_value: int, budget: int):

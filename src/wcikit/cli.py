@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strata", help="singular strata of a well-formed weight tuple")
     p.add_argument("weights")
-    p.add_argument("--all", action="store_true", help="all singular subsets, not just the covering family")
+    p.add_argument("--all", action="store_true",
+                   help="all singular subsets, not just the covering family (refused beyond "
+                   "2^20 subsets; bound them with --max-size)")
     p.add_argument("--max-size", type=int, default=None, help="bound the subset size in --all mode")
     common(p)
     p.set_defaults(func=cmd_strata)
@@ -243,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--non-linear-cone", action="store_true",
                    help="skip intersections with a linear cone")
     p.add_argument("--probe", action="store_true", help="spot-probe theorem-applicable records")
-    p.add_argument("--probe-primes", default=",".join(str(q) for q in DEFAULT_PRIMES))
+    p.add_argument("--probe-primes", default=",".join(str(q) for q in DEFAULT_PRIMES),
+                   help="comma-separated primes (default 3,5,7); each record is probed over one "
+                   "field only, the first of them dividing none of its weights and degrees")
     p.add_argument("--probe-max-points", type=int, default=ProbeBudget.max_points)
     p.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--summary", default=None,

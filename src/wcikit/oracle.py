@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .analysis import WCISpec
 from .poly import (
@@ -127,6 +126,13 @@ def probe_primes(primes, weights, degrees, allow_bad_primes: bool) -> tuple[int,
             "pass allow_bad_primes=True to probe anyway"
         )
     return usable
+
+
+def _check_budget(max_points: int, sample_count: int) -> None:
+    """Refuse a probe budget that would scan nothing: both bounds must be at least 1."""
+    for name, value in (("max_points", max_points), ("sample_count", sample_count)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,9 @@ def quasi_smooth_probe(
     re-verified.  Primes dividing a weight or degree are excluded unless
     ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
     prime; a system over a prime field is probed over that field only.
+    ``max_points`` and ``sample_count`` below 1 raise ValueError.
     """
+    _check_budget(max_points, sample_count)
     k = len(sys.polys)
     n1 = len(sys.weights)
     verdicts = []
@@ -380,10 +388,7 @@ def wf_witness_search(
     """
     if not stratum.is_singular:
         raise ValueError(f"stratum {list(stratum.indices)} has delta 1; nothing singular to search")
-    if stratum.indices[-1] > spec.weights.dim:
-        raise ValueError(f"stratum indices {list(stratum.indices)} out of range")
-    if gcd(*spec.weights.at(stratum.indices)) != stratum.delta:
-        raise ValueError("stratum delta does not match the family weights")
+    stratum.weights_in(spec.weights)
     fsys = sys.reduce_mod(p)
     if fsys.weights != spec.weights:
         raise ValueError("system weights do not match the family weights")

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 # Entries beyond this cap are rejected at construction; arithmetic stays exact.
 MAX_ENTRY = 2**63 - 1
+
+# Index subsets a singular-subset sweep may enumerate before it refuses.
+MAX_SWEEP_SUBSETS = 2**20
 
 OVERALL_GCD = "overall-gcd"
 EXCLUDED_INDEX = "excluded-index"
@@ -119,6 +122,18 @@ class Stratum:
                 f"stratum indices {sorted(set(indices))} out of range for {len(w)} coordinates"
             )
         return cls(idx, gcd(*w.at(idx)))
+
+    def weights_in(self, weights) -> tuple[int, ...]:
+        """The weights at ``indices``; ValueError if one is out of range or delta is not their gcd."""
+        w = as_weights(weights)
+        if self.indices[-1] > w.dim:
+            raise ValueError(f"stratum indices {list(self.indices)} out of range for {len(w)} coordinates")
+        stratum_weights = w.at(self.indices)
+        if gcd(*stratum_weights) != self.delta:
+            raise ValueError(
+                f"stratum delta {self.delta} does not match gcd {gcd(*stratum_weights)} of weights {stratum_weights}"
+            )
+        return stratum_weights
 
     @property
     def dim(self) -> int:
@@ -254,6 +269,27 @@ def _coprime_base(values) -> list[int]:
     return sorted(set(base))
 
 
+def _covering_index_sets(entries) -> set[tuple[int, ...]]:
+    """The index set of each coprime-base element (each prime divisibility pattern)."""
+    return {tuple(i for i, a in enumerate(entries) if a % b == 0) for b in _coprime_base(entries)}
+
+
+def _singular_index_sets(entries, sizes) -> set[tuple[int, ...]]:
+    """Every index subset of one of the given sizes (>= 1) whose entries share
+    a divisor > 1.  Such a subset lies inside the covering set of any prime
+    dividing its gcd, so only subsets of the covering sets are walked; past
+    ``MAX_SWEEP_SUBSETS`` of them the sweep is refused."""
+    covers = _covering_index_sets(entries)
+    sizes = [s for s in sizes if s >= 1]
+    count = sum(comb(len(cover), s) for cover in covers for s in sizes)
+    if count > MAX_SWEEP_SUBSETS:
+        raise ValueError(
+            f"the singular-subset sweep would enumerate {count} index subsets, more than "
+            f"{MAX_SWEEP_SUBSETS}; bound the subset size (strata --all --max-size)"
+        )
+    return {idx for cover in covers for s in sizes for idx in combinations(cover, s)}
+
+
 def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -> list[Stratum]:
     """Singular strata of a well-formed weight tuple.
 
@@ -262,23 +298,19 @@ def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -
     deduplicated by index set; delta is the full gcd over the index set (it
     may be composite when several primes share a pattern).  Otherwise every
     index subset whose weights share a divisor is returned, up to
-    ``max_size`` if given (the subset count grows exponentially).  Sorted by
+    ``max_size`` if given; the subsets of the covering sets are walked, and
+    more than ``MAX_SWEEP_SUBSETS`` of them raise ValueError.  Sorted by
     (dimension descending, indices ascending).
     """
     weights = as_weights(w)
     if not is_well_formed_space(weights):
         raise ValueError("singular strata are defined for well-formed weights; run well_form first")
     entries = _space_entries(weights)
-    index_sets: set[tuple[int, ...]] = set()
     if maximal_only:
-        for b in _coprime_base(entries):
-            index_sets.add(tuple(i for i, a in enumerate(entries) if a % b == 0))
+        index_sets = _covering_index_sets(entries)
     else:
         bound = len(entries) if max_size is None else min(max_size, len(entries))
-        for size in range(1, bound + 1):
-            for idx in combinations(range(len(entries)), size):
-                if gcd(*(entries[i] for i in idx)) > 1:
-                    index_sets.add(idx)
+        index_sets = _singular_index_sets(entries, range(1, bound + 1))
     strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in index_sets]
     strata.sort(key=lambda s: (-s.dim, s.indices))
     return strata

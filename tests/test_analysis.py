@@ -1,5 +1,6 @@
 """Tests for the classification of weighted complete intersection families."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -344,6 +345,13 @@ class TestClassify:
         assert frac == {"num": 3, "den": 2}
         assert data["strata"][0]["stratum"] == {"indices": [2, 3, 4], "delta": 2, "dim": 2}
 
+    def test_weak_sweep_refused_beyond_bound(self):
+        # N = 40, dim_X = 20: C(39, 20) candidate subsets of the 2s.
+        start = time.process_time()
+        with pytest.raises(ValueError, match="68923264410 index subsets"):
+            classify(WCISpec((1, 1) + (2,) * 39, (3,) * 20))
+        assert time.process_time() - start < 1
+
     def test_rational_lowest_terms_positive_denominator(self):
         rep = classify(WCISpec((1, 1, 3), (5,)))
         frac = rep.canonical_self_intersection
@@ -451,20 +459,22 @@ class TestClassifyPerWeightTuple:
         # A census-style box: many degree tuples per weight tuple, ambients of
         # equal length visited A, B, A, and each family built from both a
         # Weights object and a plain tuple.  Non-well-formed ambients stay in.
+        # Every codimension up to N is visited, so dim_X = 0 is covered too.
         degree_pool = {
-            k: list(ascending_tuples(k, 1, 7, 7 * k)) for k in (1, 2)
+            k: list(ascending_tuples(k, 1, 7, 7 * k)) for k in (1, 2, 3, 4)
         }
-        seen = {"not_wf": 0, "negative": 0, "zero": 0, "positive": 0, "hidden": 0}
-        for length in (3, 4, 5):
+        seen = {"not_wf": 0, "negative": 0, "zero": 0, "positive": 0, "hidden": 0, "dim0": 0}
+        references = {}  # the reference is deterministic, so build it once per family
+        for length in (2, 3, 4, 5):
             tuples = list(ascending_tuples(length, 1, 6, 12))
             for a, b in zip(tuples, tuples[1:]):
-                for k in (1, 2):
-                    if k >= length - 1:
-                        continue
+                for k in range(1, length):
                     for degs in degree_pool[k]:
                         for w in (a, Weights(b), Weights(a), b):
                             spec = WCISpec(w, degs)
-                            expected = reference_report_json(spec)
+                            if spec.key() not in references:
+                                references[spec.key()] = reference_report_json(spec)
+                            expected = references[spec.key()]
                             assert classify(spec).to_json() == expected, spec.key()
                             amplitude = expected["amplitude"]
                             seen["not_wf"] += not expected["space_well_formed"]
@@ -473,4 +483,5 @@ class TestClassifyPerWeightTuple:
                             seen["hidden"] += any(
                                 si["dimca_codim"] is None for si in expected["strata"]
                             )
+                            seen["dim0"] += expected["dim_X"] == 0
         assert all(seen.values()), seen

@@ -55,6 +55,14 @@ class TestProbeBudget:
         assert ProbeBudget(primes=(2, 5, 65521)).primes == (2, 5, 65521)
 
 
+    def test_validates_budget(self):
+        for kwargs in ({"max_points": 0}, {"max_points": -1}, {"sample_count": 0},
+                       {"sample_count": -3}):
+            with pytest.raises(ValueError, match="must be at least 1"):
+                ProbeBudget(**kwargs)
+        assert ProbeBudget(max_points=1, sample_count=1).max_points == 1
+
+
 class TestEnumerate:
     def test_tiny_stream_contents(self):
         keys = [s.key() for s in enumerate_specs(TINY)]

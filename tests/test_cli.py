@@ -71,6 +71,15 @@ class TestStrata:
         data = run_json(capsys, "strata", "1,2,3", "--all")
         assert len(data["strata"]) == 2
 
+    def test_sweep_bound(self, capsys):
+        w40 = ",".join(["1", "1"] + ["2"] * 39)
+        code, out, err = run_cli(capsys, "strata", w40, "--all")
+        assert code == 2 and out == "" and "--max-size" in err
+        data = run_json(capsys, "strata", w40, "--all", "--max-size", "2")
+        assert len(data["strata"]) == 39 + 741
+        code, out, err = run_cli(capsys, "analyze", w40, "--degrees", ",".join(["3"] * 20))
+        assert code == 2 and out == "" and "68923264410 index subsets" in err
+
     def test_non_well_formed_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "strata", "1,2,2")
         assert code == 2 and "well-formed" in err
@@ -198,6 +207,14 @@ class TestProbe:
             )
             assert code == 2 and "not a prime" in err
 
+    def test_budget_below_one_exits_2(self, capsys):
+        for flag, value in (("--sample-count", "-3"), ("--sample-count", "0"), ("--max-points", "0")):
+            code, out, err = run_cli(
+                capsys, "probe", "1,1,1,1,1,1,1", "--degrees", "3", "--primes", "5",
+                "--max-points", "100", flag, value,
+            )
+            assert code == 2 and out == "" and "must be at least 1" in err, (flag, value)
+
     def test_all_primes_bad_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "probe", "1,1,1,1", "--degrees", "3", "--primes", "3", "--seed", "1",
@@ -269,6 +286,19 @@ class TestCensus:
                 "--probe", "--probe-primes", primes, "--output", str(tmp_path / "c.jsonl"),
             )
             assert code == 2 and "not a prime below 2^16" in err, (primes, err)
+
+    def test_bad_probe_budget_exits_2_before_classifying(self, capsys, tmp_path, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        for points in ("0", "-5"):
+            code, _, err = run_cli(
+                capsys, "census", "--max-n", "5", "--max-weight", "2",
+                "--max-weight-sum", "11", "--max-k", "2", "--max-degree", "4",
+                "--probe", "--probe-max-points", points, "--output", str(tmp_path / "c.jsonl"),
+            )
+            assert code == 2 and "max_points must be at least 1" in err, (points, err)
 
     def test_verbose_progress_notes(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -121,6 +121,12 @@ class TestQuasiSmoothProbe:
         assert not verdict.exhaustive
         assert verdict.points_scanned <= 500
 
+    def test_budget_below_one_refused(self):
+        for max_points, sample_count in ((0, 100), (-1, 100), (100, 0), (100, -3)):
+            with pytest.raises(ValueError, match="must be at least 1"):
+                quasi_smooth_probe(FERMAT, (5,), max_points, sample_count=sample_count)
+        assert quasi_smooth_probe(FERMAT, (5,), 1, sample_count=1).points_scanned <= 1
+
     def test_sampling_scans_each_point_once(self):
         # 2000 draws from the 625 points of F_5^4 repeat most of them.
         sys_ = PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2)
@@ -296,6 +302,10 @@ class TestWitnessSearch:
         other = PolySystem.generic(spec.weights, (3, 3), GF(5), 1)
         with pytest.raises(ValueError):
             wf_witness_search(spec, other, lam, 5)
+        with pytest.raises(ValueError, match=r"indices \[2, 3, 9\] out of range for 6 coordinates"):
+            wf_witness_search(spec, sys_, Stratum((2, 3, 9), 2), 5)
+        with pytest.raises(ValueError, match="delta 4 does not match gcd 2 of weights"):
+            wf_witness_search(spec, sys_, Stratum((2, 3), 4), 5)
 
     def test_report_json(self):
         spec, sys_, lam = self.fixture(1, 5)

@@ -1,6 +1,7 @@
 """Tests for weight tuples: well-formedness, normalization, singular strata."""
 
 import random
+import time
 from itertools import combinations, product
 from math import gcd
 
@@ -42,6 +43,13 @@ def brute_force_maximal_family(entries):
             idx = tuple(i for i, b in enumerate(entries) if b % n == 0)
             family[idx] = gcd(*(entries[i] for i in idx))
     return family
+
+
+def union_cases():
+    """Seeded random tuples plus every 4-tuple with entries up to 12."""
+    rng = random.Random(7)
+    cases = [tuple(rng.randrange(1, 31) for _ in range(rng.randrange(2, 7))) for _ in range(200)]
+    return cases + list(product(range(1, 13), repeat=4))
 
 
 class TestWeightsType:
@@ -196,9 +204,29 @@ class TestSingularStrata:
             singular_strata((1, 2, 2))
 
     def test_all_subsets_mode_matches_brute_force(self):
-        for w in [(1, 2, 3), (1, 1, 2, 2, 2), (1, 6, 10, 15), (2, 3, 5), (1, 1, 4, 6)]:
-            got = {s.indices for s in singular_strata(w, maximal_only=False)}
-            assert got == brute_force_singular_subsets(w)
+        cases = [(1, 2, 3), (1, 1, 2, 2, 2), (1, 6, 10, 15), (2, 3, 5), (1, 1, 4, 6)] + union_cases()
+        for w in cases:
+            if not is_well_formed_space(w):
+                continue
+            strata = singular_strata(w, maximal_only=False)
+            assert {s.indices for s in strata} == brute_force_singular_subsets(w), w
+            assert all(s.delta == gcd(*(w[i] for i in s.indices)) for s in strata), w
+
+    def test_sweep_bound(self, monkeypatch):
+        # 2^39 - 1 subsets at N = 40 are refused before any is enumerated.
+        w40 = (1, 1) + (2,) * 39
+        start = time.process_time()
+        with pytest.raises(ValueError, match="549755813887 index subsets.*--max-size"):
+            singular_strata(w40, maximal_only=False)
+        assert time.process_time() - start < 1
+        assert len(singular_strata(w40, maximal_only=False, max_size=2)) == 39 + 741
+        # The five 2s of (1,1,2^5) give 2^5 - 1 subsets: allowed at 31, refused at 30.
+        w = (1, 1) + (2,) * 5
+        monkeypatch.setattr("wcikit.weights.MAX_SWEEP_SUBSETS", 31)
+        assert len(singular_strata(w, maximal_only=False)) == 31
+        monkeypatch.setattr("wcikit.weights.MAX_SWEEP_SUBSETS", 30)
+        with pytest.raises(ValueError, match="31 index subsets"):
+            singular_strata(w, maximal_only=False)
 
     def test_all_subsets_max_size(self):
         got = singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=1)
@@ -216,10 +244,7 @@ class TestSingularStrata:
 
     def test_union_property(self):
         # Every singular subset is contained in some covering-family stratum.
-        rng = random.Random(7)
-        cases = [tuple(rng.randrange(1, 31) for _ in range(rng.randrange(2, 7))) for _ in range(200)]
-        cases += list(product(range(1, 13), repeat=4))
-        for w in cases:
+        for w in union_cases():
             if not is_well_formed_space(w):
                 continue
             maximal = [set(s.indices) for s in singular_strata(w)]
