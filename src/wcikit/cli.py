@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -42,12 +43,18 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
+def _spec(args) -> WCISpec:
+    return WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
+
+
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, indent=2)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    # json.dump writes the indenting encoder's chunks as they come, where
+    # json.dumps first collects all of them and joins them into one string, so a
+    # large document (strata --all) would sit in memory several times over.
+    path = getattr(args, "output", None)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        json.dump(obj, out, indent=2)
+        out.write("\n")
 
 
 def _verbose(args, message: str) -> None:
@@ -76,7 +83,7 @@ def _load_system(args, spec: WCISpec):
 
 
 def cmd_analyze(args) -> int:
-    spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
+    spec = _spec(args)
     _emit(args, classify(spec).to_json())
     return EXIT_OK
 
@@ -101,7 +108,7 @@ def cmd_strata(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
+    spec = _spec(args)
     if args.stratum:
         stratum = Stratum.of(spec.weights, _parse_int_list(args.stratum, "stratum indices"))
     else:
@@ -115,7 +122,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    spec = WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
+    spec = _spec(args)
     primes = _parse_int_list(args.primes, "primes")
     member = _load_system(args, spec)
     # A generic member is drawn over one prime field, so each field is probed
@@ -204,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="all singular subsets, not just the covering family (refused beyond "
                    "2^20 subsets; bound them with --max-size)")
-    p.add_argument("--max-size", type=int, default=None, help="bound the subset size in --all mode")
+    p.add_argument("--max-size", type=int, default=None,
+                   help="bound the subset size in --all mode (at least 1; refused without --all)")
     common(p)
     p.set_defaults(func=cmd_strata)
 

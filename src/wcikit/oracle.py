@@ -244,6 +244,33 @@ def _expand_orbits(points, weights, p: int) -> list[tuple[int, ...]]:
     )
 
 
+def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
+    """The points, in scan order, where every equation vanishes and the matrix
+    of polynomials has rank below ``rank``.  Equations and matrix entries are
+    compiled against one power table; the equations are tested first and
+    short-circuit, so the rank is computed only on their common zeros."""
+    entries = [g for row in matrix for g in row]
+    powt = _power_table(p, _max_exponent([*equations, *entries]))
+    f_evals = [_compiled_eval(f, powt, p) for f in equations]
+    m_evals = [[_compiled_eval(g, powt, p) for g in row] for row in matrix]
+    return [
+        pt
+        for pt in points
+        if not any(fe(pt) for fe in f_evals)
+        and matrix_rank([[ge(pt) for ge in row] for row in m_evals], field) < rank
+    ]
+
+
+def _verified(sys: PolySystem, points) -> tuple[ConePoint, ...]:
+    """The points as cone points, each re-verified against the full Jacobian
+    through ``poly.evaluate``, independently of the compiled scan."""
+    verified = tuple(ConePoint(pt) for pt in points)
+    for point in verified:
+        if not is_singular_witness(sys, point):
+            raise RuntimeError(f"internal: singular point {point.coords} failed re-verification")
+    return verified
+
+
 def quasi_smooth_probe(
     sys: PolySystem,
     primes=DEFAULT_PRIMES,
@@ -258,59 +285,37 @@ def quasi_smooth_probe(
     The verdict is the ``QSVerdict.join`` of one scan per field of
     ``probe_primes``.  Fields with p^(N+1) <= max_points are scanned
     exhaustively; larger ones by ``sample_count`` seeded uniform draws
-    (deterministic), each distinct point scanned once.  An exhaustive scan
-    evaluates one orbit slice (``_orbit_slice``): the equations are weighted
-    homogeneous, so vanishing and Jacobian rank are constant on each orbit of
-    the weighted F_p^* action, in every characteristic.  The singular slice
-    points are expanded to their orbits and every expanded point is
+    (deterministic), each distinct nonzero point scanned once.  An exhaustive
+    scan evaluates one orbit slice (``_orbit_slice``): the equations are
+    weighted homogeneous, so vanishing and Jacobian rank are constant on each
+    orbit of the weighted F_p^* action, in every characteristic.  The singular
+    slice points are expanded to their orbits and every expanded point is
     re-verified.  Primes dividing a weight or degree are excluded unless
     ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
     prime; a system over a prime field is probed over that field only.
     ``max_points`` and ``sample_count`` below 1 raise ValueError.
     """
     _check_budget(max_points, sample_count)
-    k = len(sys.polys)
     n1 = len(sys.weights)
     verdicts = []
     for p in probe_primes(primes, sys.weights, sys.degrees, allow_bad_primes):
         fsys = sys.reduce_mod(p)
-        field = fsys.field
-        derivs = _jacobian(fsys)
-        max_exp = max(_max_exponent(fsys.polys), _max_exponent([d for row in derivs for d in row]))
-        powt = _power_table(p, max_exp)
-        f_evals = [_compiled_eval(f, powt, p) for f in fsys.polys]
-        d_evals = [[_compiled_eval(d, powt, p) for d in row] for row in derivs]
+        weights = fsys.weights.entries
         exhaustive = p**n1 <= max_points
         if exhaustive:
-            points = _orbit_slice(p, fsys.weights.entries)
+            # The slice decides every nonzero point of F_p^(N+1).
+            points, scanned = _orbit_slice(p, weights), p**n1 - 1
         else:
             rng = random.Random(seed)
-            # A repeated draw is evaluated and counted once, in first-draw order.
-            points = dict.fromkeys(
-                tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count)
-            )
-        singular = []
-        scanned = 0
-        for pt in points:
-            if not any(pt):
-                continue
-            scanned += 1
-            if any(fe(pt) for fe in f_evals):
-                continue
-            rows = [[de(pt) for de in row] for row in d_evals]
-            if matrix_rank(rows, field) < k:
-                singular.append(pt)
+            draws = (tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count))
+            # A repeated draw is scanned and counted once, in first-draw order.
+            points = dict.fromkeys(pt for pt in draws if any(pt))
+            scanned = len(points)
+        singular = _scan(p, fsys.field, points, fsys.polys, _jacobian(fsys), len(fsys.polys))
         if exhaustive:
-            # The slice decides every nonzero point of F_p^(N+1).
-            scanned = p**n1 - 1
-            singular = _expand_orbits(singular, fsys.weights.entries, p)
-        witnesses = []
-        for pt in singular:
-            point = ConePoint(pt)
-            if not is_singular_witness(fsys, point):
-                raise RuntimeError(f"internal: witness {pt} failed re-verification")
-            witnesses.append((p, point))
-        verdicts.append(QSVerdict(tuple(witnesses), (p,), scanned, exhaustive))
+            singular = _expand_orbits(singular, weights, p)
+        witnesses = tuple((p, point) for point in _verified(fsys, singular))
+        verdicts.append(QSVerdict(witnesses, (p,), scanned, exhaustive))
     return QSVerdict.join(verdicts)
 
 
@@ -336,16 +341,15 @@ class WitnessSearchReport:
     Jacobian.  Z and S are unions of orbits of the weighted F_p^* action, so
     the scan evaluates one orbit slice of the stratum's cone and expands it;
     ``z_points`` and ``s_points`` are still the full sets, in ascending order.
-    ``points_scanned`` counts the nonzero points of the stratum's cone that
-    the search decides, p^(dim+1)-1.  ``r_from_divisibility`` is the count
-    k - k(delta) predicted by degree divisibility alone; disagreement is
-    surfaced, not hidden.
+    ``status``, ``delta`` and ``points_scanned`` are derived: the search is
+    engaged when r > 0, and then decides the p^(dim+1)-1 nonzero points of
+    the stratum's cone.  ``r_from_divisibility`` is the count k - k(delta)
+    predicted by degree divisibility alone; disagreement is surfaced, not
+    hidden.
     """
 
-    status: str
     prime: int
     stratum: Stratum
-    delta: int
     r: int
     r_from_divisibility: int
     vanishing_poly_indices: tuple[int, ...]
@@ -354,7 +358,18 @@ class WitnessSearchReport:
     s_points: tuple[ConePoint, ...]
     origin_in_z: bool
     linear_cone_escape: bool
-    points_scanned: int
+
+    @property
+    def status(self) -> str:
+        return SEARCH_COMPLETED if self.r else SEARCH_NOT_ENGAGED
+
+    @property
+    def delta(self) -> int:
+        return self.stratum.delta
+
+    @property
+    def points_scanned(self) -> int:
+        return self.prime ** len(self.stratum.indices) - 1 if self.r else 0
 
     def to_json(self) -> dict:
         return {
@@ -401,17 +416,13 @@ def wf_witness_search(
     n1 = len(spec.weights)
     on_idx = stratum.indices
     off_idx = tuple(i for i in range(n1) if i not in set(on_idx))
-    delta = stratum.delta
-    r_div = k - sum(1 for d in spec.degrees if d % delta == 0)
+    r_div = k - sum(1 for d in spec.degrees if d % stratum.delta == 0)
 
     restrictions = [restrict(f, on_idx) for f in fsys.polys]
     vanishing = tuple(j for j, rf in enumerate(restrictions) if rf.is_zero)
     r = len(vanishing)
     if r == 0:
-        return WitnessSearchReport(
-            SEARCH_NOT_ENGAGED, p, stratum, delta, 0, r_div, (), off_idx,
-            (), (), False, False, 0,
-        )
+        return WitnessSearchReport(p, stratum, 0, r_div, (), off_idx, (), (), False, False)
 
     jac = _jacobian(fsys)
     g_rows = [[restrict(jac[j][i], on_idx) for i in off_idx] for j in vanishing]
@@ -422,36 +433,21 @@ def wf_witness_search(
     origin_in_z = matrix_rank(at_origin, field) < r
     remaining = [restrictions[j] for j in range(k) if j not in vanishing]
 
-    flat_g = [g for row in g_rows for g in row]
-    max_exp = max(_max_exponent(flat_g + remaining), 1)
-    powt = _power_table(p, max_exp)
-    g_evals = [[_compiled_eval(g, powt, p) for g in row] for row in g_rows]
-    rem_evals = [_compiled_eval(f, powt, p) for f in remaining]
-
     # Z and S are unions of orbits of the weighted action (the entries of row
     # j scale by lambda^(d_j - a_i), the remaining equations by lambda^(d_j)),
     # so one orbit slice of the stratum's cone decides them.
-    z_slice = []
-    s_slice = []
-    for assignment in _orbit_slice(p, spec.weights.at(on_idx)):
+    def embed(assignment):
         pt = [0] * n1
         for i, v in zip(on_idx, assignment):
             pt[i] = v
-        pt = tuple(pt)
-        rows = [[ge(pt) for ge in row] for row in g_evals]
-        if matrix_rank(rows, field) < r:
-            z_slice.append(pt)
-            if all(fe(pt) == 0 for fe in rem_evals):
-                s_slice.append(pt)
+        return tuple(pt)
+
+    cone = map(embed, _orbit_slice(p, spec.weights.at(on_idx)))
+    z_slice = _scan(p, field, cone, (), g_rows, r)
+    s_slice = _scan(p, field, z_slice, remaining, g_rows, r)
     weights = spec.weights.entries
     z_points = tuple(ConePoint(pt) for pt in _expand_orbits(z_slice, weights, p))
-    s_points = tuple(ConePoint(pt) for pt in _expand_orbits(s_slice, weights, p))
-
-    for point in s_points:
-        if not is_singular_witness(fsys, point):
-            raise RuntimeError(f"internal: S point {point.coords} failed re-verification")
-
+    s_points = _verified(fsys, _expand_orbits(s_slice, weights, p))
     return WitnessSearchReport(
-        SEARCH_COMPLETED, p, stratum, delta, r, r_div, vanishing, off_idx,
-        z_points, s_points, origin_in_z, escape, p ** len(on_idx) - 1,
+        p, stratum, r, r_div, vanishing, off_idx, z_points, s_points, origin_in_z, escape,
     )

@@ -299,9 +299,15 @@ def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -
     may be composite when several primes share a pattern).  Otherwise every
     index subset whose weights share a divisor is returned, up to
     ``max_size`` if given; the subsets of the covering sets are walked, and
-    more than ``MAX_SWEEP_SUBSETS`` of them raise ValueError.  Sorted by
-    (dimension descending, indices ascending).
+    more than ``MAX_SWEEP_SUBSETS`` of them raise ValueError.  A ``max_size``
+    below 1, or one given with ``maximal_only``, raises ValueError.  Sorted
+    by (dimension descending, indices ascending).
     """
+    if max_size is not None:
+        if maximal_only:
+            raise ValueError("max_size bounds the all-subsets mode only (strata --all)")
+        if max_size < 1:
+            raise ValueError(f"max_size must be at least 1, got {max_size}")
     weights = as_weights(w)
     if not is_well_formed_space(weights):
         raise ValueError("singular strata are defined for well-formed weights; run well_form first")

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
+import tracemalloc
 
-from wcikit.cli import main
+from wcikit.cli import _emit, main
 from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe
 from wcikit.poly import GF, QQ, PolySystem, parse_poly
 
@@ -83,6 +85,18 @@ class TestStrata:
     def test_non_well_formed_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "strata", "1,2,2")
         assert code == 2 and "well-formed" in err
+
+    def test_bad_max_size_exits_2(self, capsys):
+        for argv, message in (
+            (("--all", "--max-size", "-1"), "at least 1"),
+            (("--all", "--max-size", "0"), "at least 1"),
+            (("--max-size", "0"), "strata --all"),
+            (("--max-size", "2"), "strata --all"),
+        ):
+            code, out, err = run_cli(capsys, "strata", "1,1,2", *argv)
+            assert code == 2 and out == "" and message in err, argv
+        data = run_json(capsys, "strata", "1,1,2", "--all", "--max-size", "1")
+        assert data["strata"] == [{"indices": [2], "delta": 2, "dim": 0}]
 
 
 class TestWitness:
@@ -355,3 +369,18 @@ class TestHarness:
             "--output", str(out),
         )
         assert code == 0 and isinstance(json.loads(stdout), dict)
+
+    def test_emit_streams_without_holding_the_document(self, capsys, tmp_path):
+        obj = {"strata": [{"indices": [i, i + 1, i + 2], "delta": 2, "dim": 2} for i in range(20_000)]}
+        expected = json.dumps(obj, indent=2) + "\n"
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            _emit(argparse.Namespace(output=str(out)), obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text(encoding="utf-8") == expected
+        assert peak < len(expected) / 4, (peak, len(expected))
+        _emit(argparse.Namespace(), obj)
+        assert capsys.readouterr().out == expected

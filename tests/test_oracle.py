@@ -127,6 +127,22 @@ class TestQuasiSmoothProbe:
                 quasi_smooth_probe(FERMAT, (5,), max_points, sample_count=sample_count)
         assert quasi_smooth_probe(FERMAT, (5,), 1, sample_count=1).points_scanned <= 1
 
+    def test_failed_reverification_is_an_internal_error(self, monkeypatch):
+        # Both scans hand their singular points to one independent re-check.
+        spec = WCISpec((1, 1, 4, 6), (2,))
+        lam = Stratum.of(spec.weights, (2, 3))
+        sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(5), 1)
+        assert quasi_smooth_probe(NODE, (5,)).witnesses
+        assert quasi_smooth_probe(NODE, (5,), max_points=10, sample_count=500).witnesses
+        assert wf_witness_search(spec, sys_, lam, 5).s_points
+        monkeypatch.setattr("wcikit.oracle.is_singular_witness", lambda sys, point: False)
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            quasi_smooth_probe(NODE, (5,))
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            quasi_smooth_probe(NODE, (5,), max_points=10, sample_count=500)
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            wf_witness_search(spec, sys_, lam, 5)
+
     def test_sampling_scans_each_point_once(self):
         # 2000 draws from the 625 points of F_5^4 repeat most of them.
         sys_ = PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2)
@@ -492,16 +508,27 @@ class TestOrbitSliceMatchesFullScan:
         )
 
     def test_sampling_unchanged(self):
-        sys_ = PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2)
-        verdict = quasi_smooth_probe(sys_, (5,), max_points=100, sample_count=500, seed=5)
-        status, witnesses, scanned, exhaustive = reference_probe(
-            sys_, 5, max_points=100, sample_count=500, seed=5
-        )
-        assert witnesses and not exhaustive
-        assert verdict.witnesses == witnesses
-        assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
-            status, scanned, exhaustive,
-        )
+        # The second case draws the origin (200 draws from the 27 points of
+        # F_3^3), which is neither scanned nor counted.
+        cases = [
+            (PolySystem.generic((1, 2, 3, 3), (6,), GF(5), 2), 5, 100, 500, 5),
+            (NODE.reduce_mod(3), 3, 10, 200, 1),
+        ]
+        for sys_, p, max_points, sample_count, seed in cases:
+            verdict = quasi_smooth_probe(
+                sys_, (p,), max_points=max_points, sample_count=sample_count, seed=seed
+            )
+            status, witnesses, scanned, exhaustive = reference_probe(
+                sys_, p, max_points=max_points, sample_count=sample_count, seed=seed
+            )
+            assert witnesses and not exhaustive
+            assert verdict.witnesses == witnesses
+            assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
+                status, scanned, exhaustive,
+            )
+        rng = random.Random(1)
+        draws = {tuple(rng.randrange(3) for _ in range(3)) for _ in range(200)}
+        assert (0, 0, 0) in draws and verdict.points_scanned == len(draws) - 1
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_witness_search_equals_reference(self, p):

@@ -232,6 +232,14 @@ class TestSingularStrata:
         got = singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=1)
         assert all(s.dim == 0 for s in got) and len(got) == 3
 
+    def test_max_size_refused_below_one_or_without_all_mode(self):
+        for max_size in (0, -1):
+            with pytest.raises(ValueError, match=f"max_size must be at least 1, got {max_size}"):
+                singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=max_size)
+        for max_size in (0, 2):
+            with pytest.raises(ValueError, match="all-subsets mode only"):
+                singular_strata((1, 1, 2, 2, 2), maximal_only=True, max_size=max_size)
+
     def test_maximal_family_matches_prime_oracle(self):
         rng = random.Random(20240811)
         cases = [tuple(rng.randrange(1, 31) for _ in range(rng.randrange(2, 7))) for _ in range(400)]
