@@ -183,26 +183,57 @@ class QSVerdict:
         }
 
 
+# Compiling costs a few KB of transient memory per term, so a large
+# polynomial is compiled in chunks of at most this many terms.
+_CHUNK_TERMS = 1024
+
+
 def _compiled_eval(poly, powt, p):
-    terms = [
-        (coeff, [(i, e) for i, e in enumerate(exps) if e]) for exps, coeff in poly.terms
+    """A function of a point (a tuple of residues mod p) returning the value of
+    the polynomial over GF(p), with powers read from ``powt[x][e]``.
+
+    The function is generated straight-line code: one power-table row per
+    used coordinate and one sum of products, reduced once.  Only ints reach
+    its source: the coefficients must be ints (TypeError otherwise), and
+    exponents, indices and p are ints by construction.
+    """
+    for _, coeff in poly.terms:
+        if type(coeff) is not int:
+            raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
+    # The zero polynomial gets one empty chunk.
+    parts = [
+        _straight_line(poly.terms[i : i + _CHUNK_TERMS], powt, p)
+        for i in range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
     ]
+    if len(parts) == 1:
+        return parts[0]
+    return lambda pt: sum(part(pt) for part in parts) % p
 
-    def ev(pt):
-        s = 0
-        for coeff, ves in terms:
-            v = coeff
-            for i, e in ves:
-                x = pt[i]
-                if not x:
-                    v = 0
-                    break
-                v = v * powt[x][e] % p
-            if v:
-                s += v
-        return s % p
 
-    return ev
+def _straight_line(terms, powt, p):
+    """Compile ``terms`` into ``ev(pt)``, e.g. for 2*x0^2*x3 + 4*x3^4::
+
+        def ev(pt):
+            P0 = powt[pt[0]]
+            P3 = powt[pt[3]]
+            return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
+
+    A sum over a tuple, unlike a chain of ``+``, compiles at any length."""
+    used = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
+    products = (
+        "*".join([str(coeff), *(f"P{i}[{e}]" for i, e in enumerate(exps) if e)])
+        for exps, coeff in terms
+    )
+    source = "\n".join(
+        [
+            "def ev(pt):",
+            *(f"    P{i} = powt[pt[{i}]]" for i in used),
+            f"    return sum(({''.join(t + ',' for t in products)})) % {p}",
+        ]
+    )
+    namespace = {"powt": powt}
+    exec(compile(source, "<wcikit.oracle._compiled_eval>", "exec"), namespace)
+    return namespace["ev"]
 
 
 def _power_table(p, max_exp):

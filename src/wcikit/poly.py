@@ -279,20 +279,26 @@ class SparsePoly:
 
 def monomials_of_degree(weights, degree: int):
     """Yield all exponent vectors of the given weighted degree, lexicographically ascending."""
-    w = as_weights(weights).entries
+    *head, last = as_weights(weights).entries
     if degree < 0:
         return
-
-    def rec(i, remaining, prefix):
-        if i == len(w) - 1:
-            q, r = divmod(remaining, w[i])
-            if r == 0:
-                yield prefix + (q,)
+    # An odometer over the exponents of all but the last coordinate, whose
+    # exponent is then forced by the degree left over.
+    exps = [0] * len(head)
+    left = degree
+    while True:
+        q, r = divmod(left, last)
+        if r == 0:
+            yield (*exps, q)
+        i = len(head) - 1
+        while i >= 0 and left < head[i]:
+            left += exps[i] * head[i]
+            exps[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for e in range(remaining // w[i] + 1):
-            yield from rec(i + 1, remaining - e * w[i], prefix + (e,))
-
-    yield from rec(0, degree, ())
+        exps[i] += 1
+        left -= head[i]
 
 
 def generic_poly(weights, degree: int, field: PrimeField, seed: int) -> SparsePoly:

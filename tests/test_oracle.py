@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -12,10 +13,12 @@ from wcikit import (
     ConePoint,
     PolySystem,
     QSVerdict,
+    SparsePoly,
     Stratum,
     WCISpec,
     determinantal_codim_bound,
     evaluate,
+    generic_poly,
     is_singular_witness,
     jacobian_rank,
     matrix_rank,
@@ -25,7 +28,7 @@ from wcikit import (
     restrict,
     wf_witness_search,
 )
-from wcikit.oracle import _compiled_eval, _max_exponent, _power_table
+from wcikit.oracle import _compiled_eval
 
 P1111 = (1, 1, 1, 1)
 FERMAT = PolySystem((parse_poly("x0^3 + x1^3 + x2^3 + x3^3", P1111, QQ),))
@@ -395,14 +398,41 @@ class TestWitnessSearch:
 # (or of the stratum's cone) is evaluated, in itertools.product order.
 
 
+def power_table(p, max_exp):
+    return [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
+
+
+def reference_eval(poly, p):
+    """The closure evaluator the generated straight-line code replaced: it
+    loops over the terms and their variables, with its own power table."""
+    powt = power_table(p, max((e for exps, _ in poly.terms for e in exps), default=1))
+    terms = [
+        (coeff, [(i, e) for i, e in enumerate(exps) if e]) for exps, coeff in poly.terms
+    ]
+
+    def ev(pt):
+        s = 0
+        for coeff, ves in terms:
+            v = coeff
+            for i, e in ves:
+                x = pt[i]
+                if not x:
+                    v = 0
+                    break
+                v = v * powt[x][e] % p
+            if v:
+                s += v
+        return s % p
+
+    return ev
+
+
 def reference_probe(sys_, p, max_points=10**7, sample_count=100_000, seed=0):
     k, n1 = len(sys_.polys), len(sys_.weights)
     field = GF(p)
     derivs = [[partial_derivative(f, i) for i in range(n1)] for f in sys_.polys]
-    max_exp = max(_max_exponent(sys_.polys), _max_exponent([d for row in derivs for d in row]))
-    powt = _power_table(p, max_exp)
-    f_evals = [_compiled_eval(f, powt, p) for f in sys_.polys]
-    d_evals = [[_compiled_eval(d, powt, p) for d in row] for row in derivs]
+    f_evals = [reference_eval(f, p) for f in sys_.polys]
+    d_evals = [[reference_eval(d, p) for d in row] for row in derivs]
     exhaustive = p**n1 <= max_points
     if exhaustive:
         points = itertools.product(range(p), repeat=n1)
@@ -544,3 +574,74 @@ class TestOrbitSliceMatchesFullScan:
             assert report.points_scanned == scanned
             s_total += len(s_points)
         assert s_total
+
+
+# -- The generated evaluator -----------------------------------------------------
+
+
+def compiled(poly, p):
+    powt = power_table(p, max((e for exps, _ in poly.terms for e in exps), default=1))
+    return _compiled_eval(poly, powt, p)
+
+
+def agrees_with_evaluate(poly, p, draws=300, seed=0):
+    ev = compiled(poly, p)
+    rng = random.Random(seed)
+    n = len(poly.weights)
+    points = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(draws)]
+    points += [(0,) * n, (1,) * n]
+    return all(ev(pt) == evaluate(poly, pt) for pt in points)
+
+
+class TestCompiledEval:
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_dense_generic_members(self, p):
+        for weights, degree in [((1, 2, 2, 3), 6), ((1, 1, 3, 3, 3), 6), ((1, 1, 1, 1, 2), 5)]:
+            for seed in (1, 2):
+                poly = generic_poly(weights, degree, GF(p), seed)
+                assert poly.num_terms > 5
+                assert agrees_with_evaluate(poly, p, seed=seed)
+
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_sparse_parsed_members(self, p):
+        for text, weights in [
+            ("x0^3 + x1^3 + x2^3 + x3^3", P1111),
+            ("x0*x1", (1, 1, 1)),
+            ("3*x0^6 - 2*x1^3 + 7*x2^2*x1 + x3^2", (1, 2, 2, 3)),
+            ("x4^5", (1, 1, 1, 1, 1)),
+        ]:
+            poly = parse_poly(text, weights, GF(p))
+            assert agrees_with_evaluate(poly, p)
+
+    def test_constant_and_zero_polynomials(self):
+        constant = SparsePoly.from_terms(GF(5), (1, 1), {(0, 0): 3})
+        zero = SparsePoly.from_terms(GF(5), (1, 1), {}, degree=2)
+        assert zero.is_zero and constant.num_terms == 1
+        for pt in itertools.product(range(5), repeat=2):
+            assert compiled(constant, 5)(pt) == 3
+            assert compiled(zero, 5)(pt) == 0
+
+    def test_many_terms_compile_and_agree(self):
+        # A chain of 5,005 additions overflows the compiler's recursion limit;
+        # a sum over a tuple, in chunks, does not.
+        poly = generic_poly((1,) * 10, 6, GF(7), 1)
+        assert poly.num_terms == 5005
+        assert agrees_with_evaluate(poly, 7, draws=50)
+
+    def test_compile_memory_is_bounded(self):
+        poly = generic_poly((1,) * 10, 7, GF(7), 1)
+        powt = power_table(7, 7)
+        assert poly.num_terms >= 10_000
+        tracemalloc.start()
+        try:
+            ev = _compiled_eval(poly, powt, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert ev((1,) * 10) == evaluate(poly, (1,) * 10)
+
+    def test_non_int_coefficient_is_refused(self):
+        poly = parse_poly("x0^2 + x1^2", (1, 1), QQ)
+        with pytest.raises(TypeError):
+            compiled(poly, 5)

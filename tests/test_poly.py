@@ -1,5 +1,6 @@
 """Tests for the sparse weighted-homogeneous polynomial engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -141,6 +142,32 @@ class TestPrintRoundTrip:
         f = SparsePoly.from_terms(QQ, W112, {(1, 0, 0): Fraction(1, 2)})
         with pytest.raises(PolyError):
             str(f)
+
+
+def recursive_monomials(weights, degree):
+    """Reference enumeration by recursion over the coordinates, each prefix
+    ascending, the last exponent forced."""
+    if len(weights) == 1:
+        q, r = divmod(degree, weights[0])
+        if r == 0 and degree >= 0:
+            yield (q,)
+        return
+    for e in range(degree // weights[0] + 1):
+        for rest in recursive_monomials(weights[1:], degree - e * weights[0]):
+            yield (e,) + rest
+
+
+class TestMonomials:
+    def test_same_sequence_as_recursive_enumeration(self):
+        cases = [
+            (w, d)
+            for n in range(1, 5)
+            for w in itertools.product(range(1, 5), repeat=n)
+            for d in range(-1, 13)
+        ]
+        cases += [((2, 3, 5, 7), 30), ((1,) * 7, 9), ((3,), 5), ((2, 2), 3), ((1, 6, 10, 15), 60)]
+        for w, d in cases:
+            assert list(monomials_of_degree(w, d)) == list(recursive_monomials(w, d)), (w, d)
 
 
 class TestGenericPoly:
