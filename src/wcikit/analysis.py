@@ -36,6 +36,10 @@ FLAG_DEGENERATE_CONTAINMENT = "degenerate_stratum_containment"
 FLAG_DIMCA_MISMATCH = "dimca_codim_mismatch"
 FLAG_NONINTEGRAL_SURFACE = "nonintegral_surface_self_intersection"
 
+# Steps (weights times least weight) a representability residue table may
+# take; a weight set needing more is refused with ValueError.
+MAX_RESIDUE_WORK = 2**21
+
 
 @dataclass(frozen=True)
 class WCISpec:
@@ -153,7 +157,18 @@ def is_linear_cone(spec: WCISpec) -> bool:
 def is_representable(d: int, weight_multiset) -> bool:
     """Whether d is a non-negative integer combination of the given weights,
     i.e. whether any monomial of weighted degree d exists in variables of
-    those weights.  Decided by dynamic programming over target values 0..d."""
+    those weights.
+
+    The cost does not depend on d.  After dividing d and the weights by
+    their gcd, a weight of 1, d = 0, d below the least weight, two weights
+    (a closed form) and d above Schur's bound (a_1 - 1)(a_k - 1) - 1 on the
+    Frobenius number are decided directly.  What is left is answered from
+    the Böcker–Lipták residue table of the weight set, built once in
+    O(k * a_1) steps: n[r] is the least representable value congruent to r
+    mod a_1, and d is representable iff n[d mod a_1] <= d.  A table above
+    ``MAX_RESIDUE_WORK`` steps raises ValueError; it is only needed when
+    a_1 <= d, so the dynamic program over 0..d would take at least as many.
+    """
     ws = tuple(sorted(set(weight_multiset)))
     if not ws:
         raise ValueError("weight multiset must be nonempty")
@@ -161,18 +176,55 @@ def is_representable(d: int, weight_multiset) -> bool:
         raise ValueError(f"weights must be positive integers: {sorted(weight_multiset)}")
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"degree {d!r} must be a non-negative integer")
-    return _representable(d, ws)
+    g = gcd(*ws)
+    if d % g:
+        return False
+    d //= g
+    a = ws[0] // g
+    if a == 1 or d == 0:
+        return True
+    if d < a:
+        return False
+    if len(ws) == 2:
+        # The least y >= 0 with y*b = d (mod a) is d * b^-1 mod a; d = x*a + y*b
+        # is representable iff x >= 0.
+        b = ws[1] // g
+        return (d * pow(b, -1, a)) % a * b <= d
+    if d > (a - 1) * (ws[-1] // g - 1) - 1:
+        return True
+    return _residue_table(tuple(w // g for w in ws))[d % a] <= d
 
 
-@lru_cache(maxsize=4096)
-def _representable(d: int, ws: tuple[int, ...]) -> bool:
-    reach = bytearray(d + 1)
-    reach[0] = 1
-    for w in ws:
-        for t in range(w, d + 1):
-            if not reach[t] and reach[t - w]:
-                reach[t] = 1
-    return bool(reach[d])
+@lru_cache(maxsize=64)
+def _residue_table(ws: tuple[int, ...]) -> tuple:
+    """n[r], the least non-negative combination of the coprime, ascending
+    weights ws that is congruent to r mod ws[0], by Böcker and Lipták's
+    round-robin algorithm (Algorithmica 47, 2007)."""
+    a = ws[0]
+    if len(ws) * a > MAX_RESIDUE_WORK:
+        raise ValueError(
+            f"representability over the weights {list(ws)} needs a residue table of "
+            f"{len(ws)} x {a} steps, more than {MAX_RESIDUE_WORK}"
+        )
+    inf = float("inf")
+    n = [inf] * a
+    n[0] = 0
+    for b in ws[1:]:
+        g = gcd(a, b)
+        for r in range(g):
+            # The residues congruent to r mod g form one cycle under adding b
+            # (mod a); walk it from its least entry, relaxing each by one more b.
+            m = min(n[r::g])
+            if m == inf:
+                continue
+            for _ in range(a // g - 1):
+                m += b
+                p = m % a
+                if n[p] < m:
+                    m = n[p]
+                else:
+                    n[p] = m
+    return tuple(n)
 
 
 def stratum_intersection(spec: WCISpec, stratum: Stratum) -> StratumIntersection:
@@ -239,8 +291,9 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
 def _ambient(weights: Weights, dim_x: int):
     """The degree-free facts ``classify`` needs: None for a non-well-formed
     ambient, otherwise one (stratum, stratum weights, count of weights delta
-    divides) triple per covering stratum, and the weak candidates: the other
-    singular strata of dimension dim_x - 1."""
+    divides) triple per covering stratum, and the weak candidates (the other
+    singular strata of dimension dim_x - 1) grouped by their sorted distinct
+    weight values, on which containment alone depends."""
     if not is_well_formed_space(weights):
         return None
     covering = tuple(
@@ -248,9 +301,13 @@ def _ambient(weights: Weights, dim_x: int):
         for st in singular_strata(weights, maximal_only=True)
     )
     known = {st.indices for st, _, _ in covering}
-    # Sorted, so classify's final sort merges two sorted runs.
-    weak = sorted(idx for idx in _singular_index_sets(weights.entries, (dim_x,)) if idx not in known)
-    return covering, tuple(Stratum(idx, gcd(*weights.at(idx))) for idx in weak)
+    weak: dict[tuple[int, ...], list[Stratum]] = {}
+    # Sorted, so classify's final sort merges sorted runs.
+    for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
+        if idx not in known:
+            values = weights.at(idx)
+            weak.setdefault(tuple(sorted(set(values))), []).append(Stratum(idx, gcd(*values)))
+    return covering, tuple((values, tuple(strata)) for values, strata in weak.items())
 
 
 def classify(spec: WCISpec) -> AnalysisReport:
@@ -291,10 +348,9 @@ def classify(spec: WCISpec) -> AnalysisReport:
         # per-stratum model misses it (the restrictions need not cut
         # independently); fold those strata in so well_formed cannot contradict
         # weakly_well_formed.
-        for st in weak:
-            stratum_weights = spec.weights.at(st.indices)
-            if not any(is_representable(d, stratum_weights) for d in degrees):
-                inters.append(StratumIntersection(st, (), dim_x - 1, True))
+        for values, strata in weak:
+            if not any(is_representable(d, values) for d in degrees):
+                inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
         inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
     sing_dim = max((si.dim_general for si in inters), default=-1)
     well_formed = space_well_formed and dim_x - sing_dim >= 2

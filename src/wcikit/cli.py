@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import WCISpec, classify
-from .census import CensusBounds, ProbeBudget, run_census, write_census
+from .census import CensusBounds, ProbeBudget, run_census, summary_sidecar_path, write_census
 from .oracle import (
     DEFAULT_PRIMES,
     DEFAULT_SAMPLE_COUNT,
@@ -168,6 +168,12 @@ def cmd_census(args) -> int:
     bounds = _census_bounds(args)
     if not args.output:
         raise ValueError("census needs --output PATH for the JSONL records")
+    output = Path(args.output)
+    if args.summary is None and output.exists() and not output.is_file():
+        raise ValueError(
+            f"--output {output} is not a regular file, so the default sidecar "
+            f"{summary_sidecar_path(output)} is not written next to it; pass --summary PATH"
+        )
     probe = None
     if args.probe:
         probe = ProbeBudget(
@@ -259,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-max-points", type=int, default=ProbeBudget.max_points)
     p.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--summary", default=None,
-                   help="summary sidecar path (default: <output>.summary.json)")
+                   help="summary sidecar path (default: <output>.summary.json; required when "
+                   "--output is not a regular file, such as /dev/null)")
     p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
     common(p)
     p.set_defaults(func=cmd_census)

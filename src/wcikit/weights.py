@@ -195,14 +195,24 @@ class NormalizationTrace:
 def _excluded_gcds(entries) -> list[int]:
     """For every position i, the gcd of all entries except entries[i]."""
     n = len(entries)
-    prefix = [0] * (n + 1)  # gcd(x, 0) == x, so 0 is the identity seed
-    for i, a in enumerate(entries):
-        prefix[i + 1] = gcd(prefix[i], a)
-    out = [0] * n
+    out = [1] * n
+    if entries.count(1) > 1:
+        return out  # every complement holds a 1
+    # prefix[i] = gcd(entries[:i]), kept only until it reaches 1: from there
+    # on every excluded gcd to the right is 1.  gcd(x, 0) == x, so 0 seeds it.
+    prefix = [0]
+    for a in entries:
+        g = gcd(prefix[-1], a)
+        if g == 1:
+            break
+        prefix.append(g)
     suffix = 0
     for i in range(n - 1, -1, -1):
-        out[i] = gcd(prefix[i], suffix)
+        if i < len(prefix):
+            out[i] = gcd(prefix[i], suffix)
         suffix = gcd(suffix, entries[i])
+        if suffix == 1:
+            break  # every excluded gcd to the left is 1
     return out
 
 

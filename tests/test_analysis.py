@@ -30,6 +30,8 @@ from wcikit import (
     singular_strata,
     stratum_intersection,
 )
+from wcikit.analysis import MAX_RESIDUE_WORK
+from wcikit.cli import main
 
 S5 = WCISpec((1, 1, 2, 2, 2), (3, 4))  # surface fixture
 S3 = WCISpec((1, 1, 2), (1,))  # line on the quadric cone
@@ -48,6 +50,18 @@ def brute_force_representable(d, weights):
         return any(rec(i + 1, remaining - c * step) for c in range(remaining // step + 1))
 
     return rec(0, d)
+
+
+def dp_reach(limit, weights):
+    """The dynamic program is_representable used before its residue table:
+    reach[t] == 1 iff t in 0..limit is a combination of the weights."""
+    reach = bytearray(limit + 1)
+    reach[0] = 1
+    for w in sorted(set(weights)):
+        for t in range(w, limit + 1):
+            if not reach[t] and reach[t - w]:
+                reach[t] = 1
+    return reach
 
 
 def ascending_tuples(length, lo, hi, budget):
@@ -103,6 +117,38 @@ class TestRepresentable:
             for ws in ascending_tuples(size, 1, 6, 6 * size):
                 for d in range(0, 15):
                     assert is_representable(d, ws) == brute_force_representable(d, ws), (d, ws)
+
+    def test_against_old_dynamic_program(self):
+        # Every weight set in {1..15} of size <= 4, gcd > 1 included: the gcd
+        # division, the closed form for two weights, Schur's bound and the
+        # residue table all agree with the dynamic program.
+        for size in range(1, 5):
+            for ws in combinations(range(1, 16), size):
+                reach = dp_reach(119, ws)
+                for d in range(120):
+                    assert is_representable(d, ws) == bool(reach[d]), (d, ws)
+
+    def test_cost_independent_of_degree(self):
+        start = time.process_time()
+        assert is_representable(2**63 - 1, (7, 11, 13)) is True
+        assert is_representable(2**63 - 2, (2**62, 2**62 + 1)) is False
+        report = classify(WCISpec((1, 6, 10, 15), (2**63 - 1,)))
+        assert time.process_time() - start < 1.0
+        assert report.space_well_formed and report.dim_X == 2
+
+    def test_residue_table_budget_refused(self, capsys):
+        # Three weights from 10^6 need a table of 3 * 10^6 steps, above the budget.
+        ws = (10**6, 10**6 + 1, 10**6 + 3)
+        assert 3 * ws[0] > MAX_RESIDUE_WORK
+        with pytest.raises(ValueError, match="residue table"):
+            is_representable(3 * 10**6 + 1, ws)
+        # Decided without a table: below the least weight, above Schur's bound.
+        assert is_representable(10**6 - 1, ws) is False
+        assert is_representable(10**13, ws) is True
+        start = time.process_time()
+        code = main(["analyze", "1,1,2000000,2000002,2000006", "--degrees", "6000002"])
+        assert code == 2 and "residue table" in capsys.readouterr().err
+        assert time.process_time() - start < 1.0
 
     def test_monotone_under_superset(self):
         for ws in ascending_tuples(3, 1, 8, 24):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import tracemalloc
 
 from wcikit.cli import _emit, main
@@ -313,6 +314,24 @@ class TestCensus:
                 "--probe", "--probe-max-points", points, "--output", str(tmp_path / "c.jsonl"),
             )
             assert code == 2 and "max_points must be at least 1" in err, (points, err)
+
+    def test_special_output_needs_summary_before_classifying(self, capsys, tmp_path, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        bounds = ("--max-n", "2", "--max-weight", "2", "--max-weight-sum", "4",
+                  "--max-k", "1", "--max-degree", "2")
+        for output in (os.devnull, str(tmp_path)):
+            code, out, err = run_cli(capsys, "census", *bounds, "--output", output)
+            assert code == 2 and out == "" and "--summary" in err, (output, err)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        code, out, _ = run_cli(
+            capsys, "census", *bounds, "--output", os.devnull, "--summary", str(tmp_path / "s.json"),
+        )
+        assert code == 0 and json.loads(out)["total"] == 6
+        assert json.loads((tmp_path / "s.json").read_text())["total"] == 6
 
     def test_verbose_progress_notes(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -15,6 +15,7 @@ from wcikit import (
     singular_strata,
     well_form,
 )
+from wcikit.weights import _excluded_gcds
 
 
 def brute_force_singular_subsets(entries):
@@ -102,6 +103,18 @@ class TestWellFormedSpace:
     def test_needs_two_coordinates(self):
         with pytest.raises(ValueError):
             is_well_formed_space((5,))
+
+    def test_excluded_gcds_match_definition(self):
+        # The early exits (prefix and suffix gcd at 1, two entries equal to 1)
+        # leave every complementary gcd as the direct definition gives it.
+        rng = random.Random(11)
+        big = (1, 2, 3, 6, 10, 15, 30, 2**61 - 1, 6 * (2**59))
+        cases = [t for k in range(2, 6) for t in product(range(1, 9), repeat=k)]
+        cases += [tuple(rng.choice(big) for _ in range(rng.randrange(2, 9))) for _ in range(2000)]
+        for t in cases:
+            want = [gcd(*(t[:i] + t[i + 1:])) for i in range(len(t))]
+            assert _excluded_gcds(t) == want, t
+            assert is_well_formed_space(t) == (max(want) == 1), t
 
 
 class TestWellForm:
