@@ -2,7 +2,7 @@
 
 Specs are enumerated with ascending weights and degrees (one representative
 per permutation class), ambient weights pre-filtered to well-formed tuples,
-and records written as deterministic JSONL with a JSON summary sidecar.
+and records streamed as deterministic JSONL with a JSON summary sidecar.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Generator, Iterator, Optional
 
 from .analysis import (
     THEOREM_CONSISTENT,
@@ -160,69 +160,69 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
 
 def run_census(
     bounds: CensusBounds, probe: Optional[ProbeBudget] = None
-) -> tuple[list[CensusRecord], CensusSummary]:
-    """Classify every spec in the box and optionally spot-probe the
-    theorem-applicable records.  When the bounds skip linear cones, the summary
-    counts the skipped specs.  A probe can only certify non-quasi-smoothness, so
-    it never contradicts a record's theorem status; its verdict is stored with
-    the report."""
-    records: list[CensusRecord] = []
-    skipped_cones = 0
+) -> Generator[CensusRecord, None, CensusSummary]:
+    """Yield each spec's record in enumeration order as it is classified and,
+    with a budget, its theorem-applicable records spot-probed.  The summary,
+    tallied on the way (skipped linear cones included), is the return value.
+    A probe can only certify non-quasi-smoothness, so it never contradicts a
+    record's theorem status; its verdict is stored with the report."""
+    total = well_formed = weakly_only = neither = skipped = implies = probed = 0
     base = replace(bounds, require_non_linear_cone=False)
     for spec in enumerate_specs(base):
         if bounds.require_non_linear_cone and is_linear_cone(spec):
-            skipped_cones += 1
+            skipped += 1
             continue
         report = classify(spec)
+        status = report.theorem_status
         verdict = None
-        if probe is not None and report.theorem_status in (
-            THEOREM_CONSISTENT,
-            THEOREM_IMPLIES_NOT_QUASISMOOTH,
-        ):
+        if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
             verdict = _spot_probe(spec, probe)
-        records.append(CensusRecord(report, verdict))
-
-    summary = CensusSummary(
-        total=len(records),
-        well_formed=sum(1 for r in records if r.report.well_formed),
-        weakly_only=sum(
-            1 for r in records if r.report.weakly_well_formed and not r.report.well_formed
-        ),
-        neither=sum(1 for r in records if not r.report.weakly_well_formed),
-        linear_cone_skipped=skipped_cones,
-        theorem_implies_not_quasismooth=sum(
-            1 for r in records if r.report.theorem_status == THEOREM_IMPLIES_NOT_QUASISMOOTH
-        ),
-        probed=sum(1 for r in records if r.oracle_verdict is not None),
+        total += 1
+        well_formed += report.well_formed
+        weakly_only += report.weakly_well_formed and not report.well_formed
+        neither += not report.weakly_well_formed
+        implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
+        probed += verdict is not None
+        yield CensusRecord(report, verdict)
+    return CensusSummary(
+        total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
+        linear_cone_skipped=skipped, theorem_implies_not_quasismooth=implies, probed=probed,
     )
-    return records, summary
 
 
 def summary_sidecar_path(path) -> Path:
     return Path(str(path) + ".summary.json")
 
 
-def write_census(records, summary: CensusSummary, path, summary_path=None) -> None:
-    """Write one compact JSON record per line plus the summary sidecar.
+def write_census(census, path, summary_path=None) -> CensusSummary:
+    """Write each record of ``census`` (a ``run_census`` generator) as one
+    compact JSON line as it arrives, then the summary sidecar; return the summary.
 
-    On an I/O failure a partial-output marker is left in the sidecar (best
-    effort) before the error propagates.
+    The output is opened before the first record is drawn, so an unwritable
+    path is refused before any spec is classified.  On any exception,
+    KeyboardInterrupt included, the lines written so far stay and the sidecar
+    is replaced by a partial-output marker (best effort) before it propagates.
     """
     path = Path(path)
     summary_path = summary_sidecar_path(path) if summary_path is None else Path(summary_path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json(), separators=(",", ":")))
-                fh.write("\n")
+            while True:
+                try:
+                    fh.write(json.dumps(next(census).to_json(), separators=(",", ":")) + "\n")
+                except StopIteration as done:
+                    summary = done.value
+                    break
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(summary.to_json(), fh, indent=2)
             fh.write("\n")
-    except OSError as exc:
+    except BaseException as exc:
         try:
             with open(summary_path, "w", encoding="utf-8") as fh:
-                json.dump({"status": "aborted_partial_output", "error": str(exc)}, fh)
+                error = str(exc) or type(exc).__name__  # KeyboardInterrupt has no text
+                json.dump({"status": "aborted_partial_output", "error": error}, fh)
                 fh.write("\n")
         except OSError:
             pass
         raise
+    return summary

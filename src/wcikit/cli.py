@@ -182,9 +182,8 @@ def cmd_census(args) -> int:
             seed=args.probe_seed,
         )
     _verbose(args, f"census bounds: {bounds.to_json()}")
-    records, summary = run_census(bounds, probe)
-    write_census(records, summary, args.output, args.summary)
-    _verbose(args, f"wrote {len(records)} records to {args.output}")
+    summary = write_census(run_census(bounds, probe), args.output, args.summary)
+    _verbose(args, f"wrote {summary.total} records to {args.output}")
     print(json.dumps(summary.to_json(), indent=2))
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Tests for parameter-space enumeration, classification, and persistence."""
 
 import json
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,6 +17,16 @@ from wcikit import (
 )
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
+
+
+def drain(census):
+    """The records of a ``run_census`` generator, as a list, and the summary it returns."""
+    records = []
+    while True:
+        try:
+            records.append(next(census))
+        except StopIteration as done:
+            return records, done.value
 
 
 def independent_spec_count(bounds):
@@ -107,7 +118,7 @@ class TestEnumerate:
 class TestRunCensus:
     def test_surface_fixture_classified_weakly_only(self):
         bounds = CensusBounds(max_n=4, max_weight=2, max_weight_sum=9, max_k=2, max_degree=4)
-        records, summary = run_census(bounds)
+        records, summary = drain(run_census(bounds))
         by_key = {r.report.spec.key(): r for r in records}
         rec = by_key["1,1,2,2,2/3,4"]
         assert rec.report.weakly_well_formed and not rec.report.well_formed
@@ -115,7 +126,7 @@ class TestRunCensus:
 
     def test_family_fixture_implies_not_quasismooth(self):
         bounds = CensusBounds(max_n=6, max_weight=2, max_weight_sum=13, max_k=2, max_degree=4)
-        records, summary = run_census(bounds)
+        records, summary = drain(run_census(bounds))
         by_key = {r.report.spec.key(): r for r in records}
         for key in ("1,1,2,2,2,2/3,4", "1,1,2,2,2,2,2/3,4"):
             rec = by_key[key]
@@ -130,7 +141,7 @@ class TestRunCensus:
         bounds = CensusBounds(
             max_n=4, max_weight=1, max_weight_sum=5, max_k=2, max_degree=4, min_dim=1
         )
-        records, summary = run_census(bounds)
+        records, summary = drain(run_census(bounds))
         assert summary.weakly_only == 0
         assert all(r.report.well_formed for r in records)
 
@@ -139,13 +150,13 @@ class TestRunCensus:
             max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2,
             require_non_linear_cone=True,
         )
-        records, summary = run_census(bounds)
+        records, summary = drain(run_census(bounds))
         assert summary.linear_cone_skipped == 4
         assert summary.total == len(records) == 2
 
     def test_summary_partition(self):
         bounds = CensusBounds(max_n=4, max_weight=3, max_weight_sum=9, max_k=2, max_degree=4)
-        records, summary = run_census(bounds)
+        records, summary = drain(run_census(bounds))
         assert summary.total == len(records)
         assert summary.well_formed + summary.weakly_only + summary.neither == summary.total
 
@@ -154,7 +165,7 @@ class TestRunCensus:
             max_n=5, max_weight=2, max_weight_sum=11, max_k=2, max_degree=4,
             require_non_linear_cone=True, min_dim=3,
         )
-        records, summary = run_census(bounds, ProbeBudget(primes=(5,), max_points=20_000))
+        records, summary = drain(run_census(bounds, ProbeBudget(primes=(5,), max_points=20_000)))
         probed = [r for r in records if r.oracle_verdict is not None]
         assert summary.probed == len(probed) > 0
         for rec in probed:
@@ -166,8 +177,8 @@ class TestRunCensus:
             require_non_linear_cone=True, min_dim=3,
         )
         budget = ProbeBudget(primes=(5,), max_points=20_000)
-        a = [r.to_json() for r in run_census(bounds, budget)[0]]
-        b = [r.to_json() for r in run_census(bounds, budget)[0]]
+        a = [r.to_json() for r in run_census(bounds, budget)]
+        b = [r.to_json() for r in run_census(bounds, budget)]
         assert a == b
 
 
@@ -176,16 +187,15 @@ class TestPersistence:
         bounds = CensusBounds(max_n=4, max_weight=3, max_weight_sum=8, max_k=2, max_degree=3)
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
-            records, summary = run_census(bounds)
             out = tmp_path / name
-            write_census(records, summary, out)
+            write_census(run_census(bounds), out)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_record_lines_parse_and_schema(self, tmp_path):
-        records, summary = run_census(TINY)
         out = tmp_path / "c.jsonl"
-        write_census(records, summary, out)
+        summary = write_census(run_census(TINY), out)
+        assert summary == drain(run_census(TINY))[1]
         lines = out.read_text().splitlines()
         assert len(lines) == summary.total
         for line in lines:
@@ -195,6 +205,36 @@ class TestPersistence:
         assert sidecar["total"] == summary.total
 
     def test_io_failure_propagates(self, tmp_path):
-        records, summary = run_census(TINY)
         with pytest.raises(OSError):
-            write_census(records, summary, tmp_path / "missing" / "c.jsonl")
+            write_census(run_census(TINY), tmp_path / "missing" / "c.jsonl")
+
+    def test_interrupt_leaves_partial_jsonl_and_marker(self, tmp_path):
+        def interrupted():
+            yield from drain(run_census(TINY))[0][:3]
+            raise KeyboardInterrupt
+
+        out = tmp_path / "c.jsonl"
+        sidecar = tmp_path / "c.jsonl.summary.json"
+        sidecar.write_text('{"total": 6}\n')
+        with pytest.raises(KeyboardInterrupt):
+            write_census(interrupted(), out)
+        assert len(out.read_text().splitlines()) == 3
+        assert json.loads(sidecar.read_text()) == {
+            "status": "aborted_partial_output", "error": "KeyboardInterrupt",
+        }
+
+    def test_streams_without_holding_the_records(self, tmp_path):
+        # The peak stays a small fraction of the JSONL because each record is
+        # written and dropped as it is classified; a census kept as a list
+        # peaks above the size of its file.
+        bounds = CensusBounds(max_n=8, max_weight=6, max_weight_sum=12, max_k=2, max_degree=8)
+        out = tmp_path / "c.jsonl"
+        tracemalloc.start()
+        try:
+            summary = write_census(run_census(bounds), out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert summary.total == len(out.read_bytes().splitlines())
+        assert peak < size / 4, (peak, size)

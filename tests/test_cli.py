@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import tracemalloc
 
+import wcikit.census
 from wcikit.cli import _emit, main
 from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe
 from wcikit.poly import GF, QQ, PolySystem, parse_poly
@@ -281,13 +283,68 @@ class TestCensus:
         assert out.read_text() == ""
         assert json.loads(stdout)["total"] == 0
 
-    def test_unwritable_output_exits_2(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, "census", "--max-n", "2", "--max-weight", "2",
-            "--max-weight-sum", "4", "--max-k", "1", "--max-degree", "2",
-            "--output", str(tmp_path / "no" / "dir" / "x.jsonl"),
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
+        classified = []
+
+        def no_classify(spec):
+            classified.append(spec)
+            raise AssertionError("a spec was classified")
+
+        monkeypatch.setattr("wcikit.census.classify", no_classify)
+        bounds = ("--max-n", "13", "--max-weight", "8", "--max-weight-sum", "10",
+                  "--max-k", "3", "--max-degree", "10")
+        directory = tmp_path / "out"
+        directory.mkdir()
+        for output in (tmp_path / "no" / "dir" / "x.jsonl", directory):
+            code, out, _ = run_cli(
+                capsys, "census", *bounds, "--output", str(output),
+                "--summary", str(tmp_path / "s.json"),
+            )
+            assert code == 2 and out == "", output
+        assert classified == []
+        assert json.loads((tmp_path / "s.json").read_text())["status"] == "aborted_partial_output"
+
+    def test_failure_mid_stream_leaves_partial_jsonl_and_marker(self, capsys, tmp_path, monkeypatch):
+        real_classify, seen = wcikit.census.classify, []
+
+        def failing_classify(spec):
+            seen.append(spec)
+            if len(seen) == 4:
+                raise ValueError("classification failed")
+            return real_classify(spec)
+
+        bounds = ("--max-n", "2", "--max-weight", "2", "--max-weight-sum", "4",
+                  "--max-k", "1", "--max-degree", "2")
+        out = tmp_path / "c.jsonl"
+        sidecar = tmp_path / "c.jsonl.summary.json"
+        assert run_cli(capsys, "census", *bounds, "--output", str(out))[0] == 0
+        assert json.loads(sidecar.read_text())["total"] == 6
+        monkeypatch.setattr("wcikit.census.classify", failing_classify)
+        code, stdout, err = run_cli(capsys, "census", *bounds, "--output", str(out))
+        assert code == 2 and stdout == "" and "classification failed" in err
+        assert len(out.read_text().splitlines()) == 3
+        assert json.loads(sidecar.read_text()) == {
+            "status": "aborted_partial_output", "error": "classification failed",
+        }
+
+    def test_probed_census_bytes_pinned(self, capsys, tmp_path):
+        # Unlike the benchmark pin, which hashes only the reports, this pins
+        # every byte of the probed records: witness lists, points scanned.
+        out = tmp_path / "c.jsonl"
+        code, stdout, _ = run_cli(
+            capsys, "census", "--max-n", "5", "--max-weight", "2", "--max-weight-sum", "11",
+            "--max-k", "2", "--max-degree", "4", "--min-dim", "3", "--non-linear-cone",
+            "--probe", "--probe-primes", "5", "--probe-max-points", "20000",
+            "--probe-seed", "1", "--output", str(out),
         )
-        assert code == 2
+        assert code == 0
+        summary = "6f19ceb24923d3d36c16f4c772d94081cc3ab4f96586582f6c158f19d0b718d8"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "29e4d86b8a855624e7a99915a376cb19967288abd48ddf2f1ec9b314870f1e70"
+        )
+        assert hashlib.sha256(stdout.encode()).hexdigest() == summary
+        assert hashlib.sha256((tmp_path / "c.jsonl.summary.json").read_bytes()).hexdigest() == summary
+        assert len(out.read_text().splitlines()) == json.loads(stdout)["total"] == 38
 
     def test_bad_probe_primes_exit_2_before_classifying(self, capsys, tmp_path, monkeypatch):
         def no_census(*args, **kwargs):
