@@ -172,10 +172,13 @@ def is_representable(d: int, weight_multiset) -> bool:
     ws = tuple(sorted(set(weight_multiset)))
     if not ws:
         raise ValueError("weight multiset must be nonempty")
-    if any((not isinstance(x, int)) or isinstance(x, bool) or x < 1 for x in ws):
-        raise ValueError(f"weights must be positive integers: {sorted(weight_multiset)}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValueError(f"degree {d!r} must be a non-negative integer")
+    # Plain ints pass the first test at C speed; anything else (bools, floats,
+    # int subclasses) gets the detailed check.
+    if not (set(map(type, ws)) <= {int} and ws[0] >= 1 and type(d) is int and d >= 0):
+        if any((not isinstance(x, int)) or isinstance(x, bool) or x < 1 for x in ws):
+            raise ValueError(f"weights must be positive integers: {sorted(weight_multiset)}")
+        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+            raise ValueError(f"degree {d!r} must be a non-negative integer")
     g = gcd(*ws)
     if d % g:
         return False

@@ -194,6 +194,12 @@ def summary_sidecar_path(path) -> Path:
     return Path(str(path) + ".summary.json")
 
 
+# One compact encoder for every record: json.dumps with non-default separators
+# would build a new one per call.  to_json builds fresh trees, so there are no
+# cycles to check for.
+_encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def write_census(census, path, summary_path=None) -> CensusSummary:
     """Write each record of ``census`` (a ``run_census`` generator) as one
     compact JSON line as it arrives, then the summary sidecar; return the summary.
@@ -209,7 +215,7 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
         with open(path, "w", encoding="utf-8") as fh:
             while True:
                 try:
-                    fh.write(json.dumps(next(census).to_json(), separators=(",", ":")) + "\n")
+                    fh.write(_encode_line(next(census).to_json()) + "\n")
                 except StopIteration as done:
                     summary = done.value
                     break

@@ -54,8 +54,10 @@ class ConePoint:
 
 def matrix_rank(rows, field) -> int:
     """Exact Gaussian-elimination rank, pivoting on the first nonzero entry in
-    each column."""
+    each column.  A single row has rank 1 unless it is zero."""
     m = [list(r) for r in rows]
+    if len(m) == 1:
+        return 1 if any(m[0]) else 0
     if not m or not m[0]:
         return 0
     cols = len(m[0])
@@ -183,8 +185,8 @@ class QSVerdict:
         }
 
 
-# Compiling costs a few KB of transient memory per term, so a large
-# polynomial is compiled in chunks of at most this many terms.
+# Compiling costs a few KB of transient memory per term, so no compile() call
+# sees more than this many terms: a large polynomial is compiled in chunks.
 _CHUNK_TERMS = 1024
 
 
@@ -192,14 +194,16 @@ def _compiled_eval(poly, powt, p):
     """A function of a point (a tuple of residues mod p) returning the value of
     the polynomial over GF(p), with powers read from ``powt[x][e]``.
 
-    The function is generated straight-line code: one power-table row per
-    used coordinate and one sum of products, reduced once.  Only ints reach
-    its source: the coefficients must be ints (TypeError otherwise), and
-    exponents, indices and p are ints by construction.
+    The function is generated straight-line code, e.g. for 2*x0^2*x3 + 4*x3^4::
+
+        def ev(pt):
+            P0 = powt[pt[0]]
+            P3 = powt[pt[3]]
+            return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
+
+    A polynomial above ``_CHUNK_TERMS`` terms is compiled in chunks and their
+    values summed.
     """
-    for _, coeff in poly.terms:
-        if type(coeff) is not int:
-            raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
     # The zero polynomial gets one empty chunk.
     parts = [
         _straight_line(poly.terms[i : i + _CHUNK_TERMS], powt, p)
@@ -211,29 +215,37 @@ def _compiled_eval(poly, powt, p):
 
 
 def _straight_line(terms, powt, p):
-    """Compile ``terms`` into ``ev(pt)``, e.g. for 2*x0^2*x3 + 4*x3^4::
+    total, used = _sum_source(terms, p)
+    return _generated(
+        ["def ev(pt):", *(f"    P{i} = powt[pt[{i}]]" for i in used), f"    return {total}"],
+        {"powt": powt},
+        "ev",
+    )
 
-        def ev(pt):
-            P0 = powt[pt[0]]
-            P3 = powt[pt[3]]
-            return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
 
-    A sum over a tuple, unlike a chain of ``+``, compiles at any length."""
+def _sum_source(terms, p):
+    """The value of ``terms`` mod p as source text reading the power-table row
+    ``Pi`` of each coordinate i, and the sorted coordinates it reads.
+
+    A sum over a tuple, unlike a chain of ``+``, compiles at any length.  Only
+    ints reach the source: the coefficients must be ints (TypeError
+    otherwise), and exponents, indices and p are ints by construction.
+    """
+    products = []
+    for exps, coeff in terms:
+        if type(coeff) is not int:
+            raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
+        products.append(
+            "*".join([str(coeff), *(f"P{i}[{e}]" for i, e in enumerate(exps) if e)]) + ","
+        )
     used = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
-    products = (
-        "*".join([str(coeff), *(f"P{i}[{e}]" for i, e in enumerate(exps) if e)])
-        for exps, coeff in terms
-    )
-    source = "\n".join(
-        [
-            "def ev(pt):",
-            *(f"    P{i} = powt[pt[{i}]]" for i in used),
-            f"    return sum(({''.join(t + ',' for t in products)})) % {p}",
-        ]
-    )
-    namespace = {"powt": powt}
-    exec(compile(source, "<wcikit.oracle._compiled_eval>", "exec"), namespace)
-    return namespace["ev"]
+    return f"sum(({''.join(products)})) % {p}", used
+
+
+def _generated(lines, namespace, name):
+    """Compile the source lines in ``namespace`` and return what they define as ``name``."""
+    exec(compile("\n".join(lines), f"<wcikit.oracle.{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _power_table(p, max_exp):
@@ -277,19 +289,58 @@ def _expand_orbits(points, weights, p: int) -> list[tuple[int, ...]]:
 
 def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     """The points, in scan order, where every equation vanishes and the matrix
-    of polynomials has rank below ``rank``.  Equations and matrix entries are
-    compiled against one power table; the equations are tested first and
-    short-circuit, so the rank is computed only on their common zeros."""
+    of polynomials has rank below ``rank``.
+
+    One generated function runs the loop, e.g. for equations f0, f1 and the
+    one-row matrix [[g0, g1]] over GF(5)::
+
+        def scan(points):
+            out = []
+            for pt in points:
+                P0 = powt[pt[0]]
+                P3 = powt[pt[3]]
+                if sum((2*P0[2]*P3[1], 4*P3[4],)) % 5:
+                    continue
+                if F1(pt):
+                    continue
+                if matrix_rank([[M0_0(pt), M0_1(pt)]], field) < 1:
+                    out.append(pt)
+            return out
+
+    Equations are tested inline, each power-table row read once where it is
+    first needed, while their terms total at most ``_CHUNK_TERMS``, so no
+    compile() sees more.  A further equation (F1 here) and every matrix entry
+    are ``_compiled_eval`` functions against the same power table.  The rank
+    is computed only at the equations' common zeros.
+    """
     entries = [g for row in matrix for g in row]
     powt = _power_table(p, _max_exponent([*equations, *entries]))
-    f_evals = [_compiled_eval(f, powt, p) for f in equations]
-    m_evals = [[_compiled_eval(g, powt, p) for g in row] for row in matrix]
-    return [
-        pt
-        for pt in points
-        if not any(fe(pt) for fe in f_evals)
-        and matrix_rank([[ge(pt) for ge in row] for row in m_evals], field) < rank
+    # matrix_rank is read from the module here, so a wrapper installed on it
+    # sees every call.
+    namespace = {"powt": powt, "field": field, "matrix_rank": matrix_rank}
+    lines = ["def scan(points):", "    out = []", "    for pt in points:"]
+    read, budget = set(), _CHUNK_TERMS
+    for j, f in enumerate(equations):
+        budget -= len(f.terms)
+        if budget >= 0:
+            total, used = _sum_source(f.terms, p)
+            lines += [f"        P{i} = powt[pt[{i}]]" for i in used if i not in read]
+            read.update(used)
+        else:
+            namespace[f"F{j}"] = _compiled_eval(f, powt, p)
+            total = f"F{j}(pt)"
+        lines += [f"        if {total}:", "            continue"]
+    rows = []
+    for r, row in enumerate(matrix):
+        for c, g in enumerate(row):
+            namespace[f"M{r}_{c}"] = _compiled_eval(g, powt, p)
+        rows.append(f"[{', '.join(f'M{r}_{c}(pt)' for c in range(len(row)))}]")
+    lines += [
+        f"        if matrix_rank([{', '.join(rows)}], field) < {rank}:",
+        "            out.append(pt)",
+        "    return out",
     ]
+    return _generated(lines, namespace, "scan")(points)
 
 
 def _verified(sys: PolySystem, points) -> tuple[ConePoint, ...]:

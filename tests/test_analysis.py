@@ -111,6 +111,18 @@ class TestRepresentable:
             is_representable(-1, (2,))
         with pytest.raises(ValueError):
             is_representable(4, (0, 2))
+        with pytest.raises(ValueError, match=r"weights must be positive integers: \[True, 2\]"):
+            is_representable(4, (True, 2))
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            is_representable(4, (2.0, 3))
+        with pytest.raises(ValueError, match="degree True must be a non-negative integer"):
+            is_representable(True, (1, 2))
+
+        class Int(int):
+            pass
+
+        assert is_representable(Int(5), (Int(2), 3)) is True
+        assert is_representable(Int(1), (Int(2), 3)) is False
 
     def test_against_brute_force(self):
         for size in range(1, 5):

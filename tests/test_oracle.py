@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from math import gcd
 
@@ -28,7 +29,7 @@ from wcikit import (
     restrict,
     wf_witness_search,
 )
-from wcikit.oracle import _compiled_eval
+from wcikit.oracle import _CHUNK_TERMS, _compiled_eval, _jacobian, _scan
 
 P1111 = (1, 1, 1, 1)
 FERMAT = PolySystem((parse_poly("x0^3 + x1^3 + x2^3 + x3^3", P1111, QQ),))
@@ -60,6 +61,22 @@ class TestMatrixRank:
 
         rows = [[Fraction(1, 2), Fraction(1)], [Fraction(1, 4), Fraction(1, 2)]]
         assert matrix_rank(rows, QQ) == 1
+
+    @pytest.mark.parametrize("field", [GF(2), GF(5), GF(13), QQ])
+    def test_one_row_equals_elimination(self, field):
+        # A zero second row leaves the rank alone and forces the elimination.
+        from fractions import Fraction
+
+        rng = random.Random(7)
+        for n in range(0, 6):
+            for _ in range(40):
+                row = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+                if field is QQ:
+                    row = [Fraction(v, rng.randrange(1, 4)) for v in row]
+                else:
+                    row = [field.coerce(v) for v in row]
+                assert matrix_rank([row], field) == matrix_rank([row, [0] * n], field)
+                assert matrix_rank([row], field) == (1 if any(row) else 0)
 
 
 class TestJacobianRank:
@@ -645,3 +662,142 @@ class TestCompiledEval:
         poly = parse_poly("x0^2 + x1^2", (1, 1), QQ)
         with pytest.raises(TypeError):
             compiled(poly, 5)
+
+
+# -- The generated scan -----------------------------------------------------------
+
+
+def reference_scan(p, points, equations, matrix, rank):
+    """The scan through closure evaluators, one call per equation and entry."""
+    f_evals = [reference_eval(f, p) for f in equations]
+    m_evals = [[reference_eval(g, p) for g in row] for row in matrix]
+    return [
+        pt
+        for pt in points
+        if not any(fe(pt) for fe in f_evals)
+        and matrix_rank([[ge(pt) for ge in row] for row in m_evals], GF(p)) < rank
+    ]
+
+
+def scans_agree(sys_, p, points):
+    """``_scan`` over the system's equations and Jacobian equals the reference,
+    and finds something to agree on unless the point list is empty."""
+    args = (sys_.polys, _jacobian(sys_), len(sys_.polys))
+    found = _scan(p, GF(p), points, *args)
+    assert found == reference_scan(p, points, *args)
+    return found
+
+
+def nonzero_points(p, n):
+    return [pt for pt in itertools.product(range(p), repeat=n) if any(pt)]
+
+
+class TestScan:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_hypersurfaces_and_pairs(self, p):
+        # k = 1 and k = 2, generic members and sparse ones with witnesses.
+        systems = [
+            PolySystem.generic((1, 2, 2, 3), (6,), GF(p), 12),
+            PolySystem.generic((1, 1, 3, 3, 3), (6, 6), GF(p), 3),
+            NODE.reduce_mod(p),
+            PolySystem(
+                (
+                    parse_poly("x0*x1 + x2^2", (1, 1, 1, 1), GF(p)),
+                    parse_poly("x0^2 + x3^2", (1, 1, 1, 1), GF(p)),
+                )
+            ),
+        ]
+        found = [scans_agree(s, p, nonzero_points(p, len(s.weights))) for s in systems]
+        assert [len(s.polys) for s in systems] == [1, 2, 1, 2]
+        assert found[2] and found[3]
+
+    def test_zero_polynomial(self):
+        zero = SparsePoly.from_terms(GF(5), (1, 1, 1), {}, degree=2)
+        x0 = parse_poly("x0^2", (1, 1, 1), GF(5))
+        points = nonzero_points(5, 3)
+        # A zero equation vanishes everywhere; a zero entry never adds rank.
+        on_x0 = [pt for pt in points if pt[0] == 0]
+        for equation, entry, expected in [
+            (zero, x0, on_x0), (x0, zero, on_x0), (zero, zero, points)
+        ]:
+            found = _scan(5, GF(5), points, (equation,), [[entry]], 1)
+            assert found == reference_scan(5, points, (equation,), [[entry]], 1) == expected
+
+    def test_no_equations(self):
+        # The witness search's Z scan: the rank test alone, two rows.
+        rows = [
+            [parse_poly(t, (1, 1, 1), GF(7)) for t in row]
+            for row in (("x0", "x1", "x2"), ("x1", "x2", "x0 + x1"))
+        ]
+        points = nonzero_points(7, 3)
+        found = _scan(7, GF(7), points, (), rows, 2)
+        assert found == reference_scan(7, points, (), rows, 2)
+        assert 0 < len(found) < len(points)
+
+    def test_sampled_points_as_a_dict(self):
+        sys_ = PolySystem.generic((1, 1, 1, 1, 1), (3,), GF(5), 2)
+        rng = random.Random(4)
+        points = dict.fromkeys(tuple(rng.randrange(5) for _ in range(5)) for _ in range(400))
+        points.pop((0,) * 5, None)
+        assert scans_agree(sys_, 5, points) == scans_agree(sys_, 5, list(points))
+
+    def test_equation_above_the_chunk_bound(self):
+        sys_ = PolySystem.generic((1,) * 8, (6,), GF(7), 1)
+        assert sys_.polys[0].num_terms > _CHUNK_TERMS
+        rng = random.Random(2)
+        points = list(dict.fromkeys(tuple(rng.randrange(7) for _ in range(8)) for _ in range(150)))
+        # Points on the hypersurface, so the Jacobian entries are evaluated too.
+        f = sys_.polys[0]
+        for pt in list(points[:60]):
+            for x in range(7):
+                zero = pt[:-1] + (x,)
+                if any(zero) and evaluate(f, zero) == 0:
+                    points.append(zero)
+        assert scans_agree(sys_, 7, points) == []
+        assert any(evaluate(f, pt) == 0 for pt in points)
+
+    def test_no_compile_sees_more_than_the_chunk_bound(self, monkeypatch):
+        # With a bound of 20 terms, the linear equation (7 terms) is inlined
+        # in the scan; the quadric (28 terms) is compiled in chunks of 20 and 8.
+        import wcikit.oracle as oracle
+
+        monkeypatch.setattr(oracle, "_CHUNK_TERMS", 20)
+        sources = []
+
+        def recording_compile(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
+        sys_ = PolySystem.generic((1,) * 7, (1, 2), GF(5), 1)
+        assert [f.num_terms for f in sys_.polys] == [7, 28]
+        scans_agree(sys_, 5, nonzero_points(5, 7)[::7])
+        terms = [
+            sum(s.count(",") for s in re.findall(r"sum\(\((.*?)\)\)", source))
+            for source in sources
+        ]
+        assert max(terms) == 20 and 8 in terms
+        scan_terms = [t for t, s in zip(terms, sources) if s.startswith("def scan")]
+        assert scan_terms == [7]
+
+    def test_scan_memory_is_bounded(self):
+        # The 11,440-term octic goes through its chunks, not inline, so the
+        # scan keeps the bound of TestCompiledEval.test_compile_memory_is_bounded.
+        # Few points: under tracemalloc every evaluated term is slow.
+        poly = generic_poly((1,) * 10, 7, GF(7), 1)
+        entry = parse_poly("x0", (1,) * 10, GF(7))
+        assert poly.num_terms >= 10_000
+        # A point of the octic with x0 = 0, where the entry drops rank.
+        rng = random.Random(3)
+        lines = ((0, *(rng.randrange(1, 7) for _ in range(8))) for _ in range(100))
+        on = next(pt + (x,) for pt in lines for x in range(7) if not evaluate(poly, pt + (x,)))
+        points = [(0,) * 9 + (1,), on]
+        tracemalloc.start()
+        try:
+            found = _scan(7, GF(7), points, (poly,), [[entry]], 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert found == reference_scan(7, points, (poly,), [[entry]], 1)
+        assert evaluate(poly, points[0]) and found == [on]
