@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, prod
 
 from .weights import (
@@ -151,7 +152,7 @@ class AnalysisReport:
 def is_linear_cone(spec: WCISpec) -> bool:
     """True iff some defining degree equals some weight, so one equation could
     eliminate a variable."""
-    return bool(set(spec.degrees) & set(spec.weights.entries))
+    return not set(spec.degrees).isdisjoint(spec.weights.entries)
 
 
 def is_representable(d: int, weight_multiset) -> bool:
@@ -290,26 +291,46 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
     return amplitude, self_int
 
 
+# The (degree, value-set) pairs whose representability classify keeps.  A
+# census box asks a few hundred; the bound keeps a caller who sweeps many
+# degrees from growing the cache with them.
+REPRESENTABLE_CACHE_SIZE = 4096
+
+
+def _values(weights) -> tuple[int, ...]:
+    """Sorted distinct weight values, on which representability alone depends."""
+    return tuple(sorted(set(weights)))
+
+
+@lru_cache(maxsize=REPRESENTABLE_CACHE_SIZE)
+def _representable(d: int, values: tuple[int, ...]) -> bool:
+    """``is_representable`` of a degree over a stratum's sorted distinct
+    weight values, decided once per pair.  A miss calls the module-level
+    ``is_representable``, so a wrapper installed on it sees every decision."""
+    return is_representable(d, values)
+
+
 @lru_cache(maxsize=1024)
 def _ambient(weights: Weights, dim_x: int):
     """The degree-free facts ``classify`` needs: None for a non-well-formed
-    ambient, otherwise one (stratum, stratum weights, count of weights delta
-    divides) triple per covering stratum, and the weak candidates (the other
-    singular strata of dimension dim_x - 1) grouped by their sorted distinct
-    weight values, on which containment alone depends."""
+    ambient, otherwise one (stratum, its dimension, its sorted distinct
+    weight values, count of weights delta divides) tuple per covering
+    stratum, in report order, and the weak candidates (the other singular
+    strata of dimension dim_x - 1) grouped by their sorted distinct weight
+    values, on which representability, hence containment, alone depends."""
     if not is_well_formed_space(weights):
         return None
     covering = tuple(
-        (st, st.weights_in(weights), sum(1 for a in weights if a % st.delta == 0))
+        (st, st.dim, _values(st.weights_in(weights)), sum(1 for a in weights if a % st.delta == 0))
         for st in singular_strata(weights, maximal_only=True)
     )
-    known = {st.indices for st, _, _ in covering}
+    known = {st.indices for st, *_ in covering}
     weak: dict[tuple[int, ...], list[Stratum]] = {}
     # Sorted, so classify's final sort merges sorted runs.
     for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
         if idx not in known:
             values = weights.at(idx)
-            weak.setdefault(tuple(sorted(set(values))), []).append(Stratum(idx, gcd(*values)))
+            weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
     return covering, tuple((values, tuple(strata)) for values, strata in weak.items())
 
 
@@ -321,28 +342,41 @@ def classify(spec: WCISpec) -> AnalysisReport:
     differing verdicts imply the general member is not quasi-smooth.
 
     The facts that do not depend on the degrees (well-formedness of the
-    ambient, its covering strata and their weights, the weight half of the
-    Dimca count, the weak candidates) are computed once per weight tuple and
-    dimension in a bounded cache; each call does the work on the degrees.
+    ambient, its covering strata with their dimensions and weight values,
+    the weight half of the Dimca count, the weak candidates) are computed
+    once per weight tuple and dimension in a bounded cache, and each
+    degree's representability over a value set once per (degree, value-set)
+    pair in another.  A call then makes one pass over the covering strata,
+    which yields the singular intersection dimension, the weak evidence and
+    both stratum flags, and sorts the strata only when the weak check adds
+    some.
     """
     dim_x = spec.dimension
     degrees = spec.degrees
     ambient = _ambient(spec.weights, dim_x)
     space_well_formed = ambient is not None
     inters = []
+    sing_dim = -1
+    weak_found = degenerate = mismatch = False
     if space_well_formed:
         covering, weak = ambient
+        positions = range(len(degrees))
         # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
-        codim_base = spec.weights.dim - len(degrees) + 1
-        for st, stratum_weights, n_delta in covering:
-            cutting = tuple(
-                j for j, d in enumerate(degrees) if is_representable(d, stratum_weights)
-            )
-            dim_general = max(st.dim - len(cutting), -1)
+        codim_base = dim_x + 1
+        for st, st_dim, values, n_delta in covering:
+            cutting = tuple(compress(positions, map(_representable, degrees, repeat(values))))
             dc = sum(1 for d in degrees if d % st.delta == 0) - n_delta + codim_base
+            if cutting:
+                dim_general = max(st_dim - len(cutting), -1)
+            else:
+                dim_general = st_dim
+                weak_found = weak_found or st_dim == dim_x - 1
+                degenerate = degenerate or st_dim == dim_x
+            sing_dim = max(sing_dim, dim_general)
             # Compare dimensions with both sides floored at -1: below that both
             # formulas just mean the empty set.
             agrees = max(dim_x - dc, -1) == dim_general
+            mismatch = mismatch or not agrees
             inters.append(
                 StratumIntersection(st, cutting, dim_general, not cutting, dc, agrees)
             )
@@ -351,20 +385,23 @@ def classify(spec: WCISpec) -> AnalysisReport:
         # per-stratum model misses it (the restrictions need not cut
         # independently); fold those strata in so well_formed cannot contradict
         # weakly_well_formed.
+        covered = len(inters)
         for values, strata in weak:
-            if not any(is_representable(d, values) for d in degrees):
+            if not any(map(_representable, degrees, repeat(values))):
                 inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
-        inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
-    sing_dim = max((si.dim_general for si in inters), default=-1)
+        if len(inters) > covered:
+            weak_found = True
+            sing_dim = max(sing_dim, dim_x - 1)
+            inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
     well_formed = space_well_formed and dim_x - sing_dim >= 2
-    weakly_well_formed = space_well_formed and not _weak_evidence(inters, dim_x)
+    weakly_well_formed = space_well_formed and not weak_found
     cone = is_linear_cone(spec)
     amplitude, self_int = adjunction_data(spec)
 
     flags = []
-    if any(si.contained and si.dim_general == dim_x for si in inters):
+    if degenerate:
         flags.append(FLAG_DEGENERATE_CONTAINMENT)
-    if any(si.dimca_agrees is False for si in inters):
+    if mismatch:
         flags.append(FLAG_DIMCA_MISMATCH)
     if dim_x == 2 and self_int.denominator != 1:
         flags.append(FLAG_NONINTEGRAL_SURFACE)

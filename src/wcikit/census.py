@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import asdict, dataclass, replace
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Generator, Iterator, Optional
 
@@ -43,8 +44,12 @@ class CensusBounds:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.min_dim, int) or self.min_dim < 0:
+        if not isinstance(self.min_dim, int) or isinstance(self.min_dim, bool) or self.min_dim < 0:
             raise ValueError(f"min_dim must be a non-negative integer, got {self.min_dim!r}")
+        if not isinstance(self.require_non_linear_cone, bool):
+            raise ValueError(
+                f"require_non_linear_cone must be true or false, got {self.require_non_linear_cone!r}"
+            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "CensusBounds":
@@ -65,6 +70,9 @@ class ProbeBudget:
     Each record is probed over one field only: the first of ``primes`` that
     divides no weight or degree of the record.  The later primes are
     fallbacks for records that the earlier ones divide, not extra fields.
+    The field is scanned exhaustively when its orbit slice, the sum over i
+    of gcd(a_i, p-1) * p^(N-i) points, has at most ``max_points`` points,
+    and by ``sample_count`` seeded draws otherwise.
     """
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
@@ -124,6 +132,7 @@ def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
     dimension ascending, then weights lexicographically, then codimension,
     then degrees.  Weights ascend and must be well formed; degrees ascend;
     linear cones are skipped when the bounds require it."""
+    degree_range = range(1, bounds.max_degree + 1)
     for n in range(1, bounds.max_n + 1):
         count = n + 1
         if count > bounds.max_weight_sum:
@@ -136,7 +145,10 @@ def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
             if not is_well_formed_space(w):
                 continue
             for k in range(1, k_top + 1):
-                for degs in _ascending_tuples(k, 1, bounds.max_degree, k * bounds.max_degree):
+                # For degrees the sum bound k * max_degree never binds, so these
+                # are _ascending_tuples(k, 1, max_degree, k * max_degree), in
+                # the same order, built lazily at C speed.
+                for degs in combinations_with_replacement(degree_range, k):
                     spec = WCISpec(w, degs)
                     if bounds.require_non_linear_cone and is_linear_cone(spec):
                         continue

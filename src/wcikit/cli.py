@@ -237,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", default=",".join(str(q) for q in DEFAULT_PRIMES),
                    help="comma-separated primes (default 3,5,7; unsafe ones are dropped)")
     p.add_argument("--max-points", type=int, default=EXHAUSTIVE_LIMIT,
-                   help="exhaustive-scan threshold on p^(N+1)")
+                   help="scan a field exhaustively when its orbit slice, "
+                   "sum_i gcd(a_i, p-1)*p^(N-i) points, has at most this many")
     p.add_argument("--sample-count", type=int, default=DEFAULT_SAMPLE_COUNT,
-                   help="seeded sample size beyond the exhaustive threshold")
+                   help="seeded sample size for a field whose orbit slice exceeds --max-points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--poly-file", default=None)
     p.add_argument("--allow-bad-primes", action="store_true",
@@ -261,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-primes", default=",".join(str(q) for q in DEFAULT_PRIMES),
                    help="comma-separated primes (default 3,5,7); each record is probed over one "
                    "field only, the first of them dividing none of its weights and degrees")
-    p.add_argument("--probe-max-points", type=int, default=ProbeBudget.max_points)
+    p.add_argument("--probe-max-points", type=int, default=ProbeBudget.max_points,
+                   help="scan a record's field exhaustively when its orbit slice, "
+                   "sum_i gcd(a_i, p-1)*p^(N-i) points, has at most this many (default "
+                   f"{ProbeBudget.max_points}); otherwise sample {ProbeBudget.sample_count} points")
     p.add_argument("--probe-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--summary", default=None,
                    help="summary sidecar path (default: <output>.summary.json; required when "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .analysis import WCISpec
 from .poly import (
@@ -278,6 +279,13 @@ def _orbit_slice(p: int, weights):
                 yield head + tail
 
 
+def _orbit_slice_size(p: int, weights) -> int:
+    """The number of points ``_orbit_slice`` yields: the sum over i of
+    gcd(a_i, p-1) * p^(n-1-i)."""
+    n = len(weights)
+    return sum(gcd(a, p - 1) * p ** (n - 1 - i) for i, a in enumerate(weights))
+
+
 def _expand_orbits(points, weights, p: int) -> list[tuple[int, ...]]:
     """The union of the weighted-action orbits of the points, in ascending
     (``itertools.product``) order."""
@@ -365,12 +373,13 @@ def quasi_smooth_probe(
     """Scan nonzero points of F_p^(N+1) for singular points of the affine cone.
 
     The verdict is the ``QSVerdict.join`` of one scan per field of
-    ``probe_primes``.  Fields with p^(N+1) <= max_points are scanned
-    exhaustively; larger ones by ``sample_count`` seeded uniform draws
-    (deterministic), each distinct nonzero point scanned once.  An exhaustive
-    scan evaluates one orbit slice (``_orbit_slice``): the equations are
-    weighted homogeneous, so vanishing and Jacobian rank are constant on each
-    orbit of the weighted F_p^* action, in every characteristic.  The singular
+    ``probe_primes``.  A field is scanned exhaustively when its orbit slice
+    (``_orbit_slice``), the sum over i of gcd(a_i, p-1) * p^(N-i) points,
+    has at most ``max_points`` points; otherwise by ``sample_count`` seeded
+    uniform draws (deterministic), each distinct nonzero point scanned once.
+    An exhaustive scan evaluates only the slice: the equations are weighted
+    homogeneous, so vanishing and Jacobian rank are constant on each orbit
+    of the weighted F_p^* action, in every characteristic.  The singular
     slice points are expanded to their orbits and every expanded point is
     re-verified.  Primes dividing a weight or degree are excluded unless
     ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
@@ -383,7 +392,7 @@ def quasi_smooth_probe(
     for p in probe_primes(primes, sys.weights, sys.degrees, allow_bad_primes):
         fsys = sys.reduce_mod(p)
         weights = fsys.weights.entries
-        exhaustive = p**n1 <= max_points
+        exhaustive = _orbit_slice_size(p, weights) <= max_points
         if exhaustive:
             # The slice decides every nonzero point of F_p^(N+1).
             points, scanned = _orbit_slice(p, weights), p**n1 - 1

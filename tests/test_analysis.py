@@ -30,7 +30,12 @@ from wcikit import (
     singular_strata,
     stratum_intersection,
 )
-from wcikit.analysis import MAX_RESIDUE_WORK
+from wcikit.analysis import (
+    MAX_RESIDUE_WORK,
+    REPRESENTABLE_CACHE_SIZE,
+    _ambient,
+    _representable,
+)
 from wcikit.cli import main
 
 S5 = WCISpec((1, 1, 2, 2, 2), (3, 4))  # surface fixture
@@ -543,3 +548,58 @@ class TestClassifyPerWeightTuple:
                             )
                             seen["dim0"] += expected["dim_X"] == 0
         assert all(seen.values()), seen
+
+
+def small_box_specs():
+    """Every family with ascending weights in [1, 6] (sum at most 12, N from
+    2 to 5) and ascending degrees in [1, 7], in census order."""
+    specs = []
+    for length in (3, 4, 5, 6):
+        for w in ascending_tuples(length, 1, 6, 12):
+            for k in range(1, length - 1):
+                specs.extend(WCISpec(w, d) for d in ascending_tuples(k, 1, 7, 7 * k))
+    return specs
+
+
+class TestClassifyCaches:
+    def test_report_does_not_depend_on_call_order(self):
+        specs = small_box_specs()
+        forward = [classify(spec).to_json() for spec in specs]
+        _representable.cache_clear()
+        _ambient.cache_clear()
+        backward = [classify(spec).to_json() for spec in reversed(specs)]
+        assert forward == backward[::-1]
+        # Both the covering strata and the weak check's additions are exercised.
+        assert any(si["dimca_codim"] is not None for r in forward for si in r["strata"])
+        assert any(si["dimca_codim"] is None for r in forward for si in r["strata"])
+
+    def test_representable_cache_stays_bounded(self):
+        spec_weights = (1, 2, 2, 3, 3)
+        for d in range(1, 20_001):
+            classify(WCISpec(spec_weights, (d,)))
+        info = _representable.cache_info()
+        assert info.maxsize == REPRESENTABLE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+
+    def test_each_pair_decided_once(self, monkeypatch):
+        # A miss reaches the module-level is_representable, so a wrapper
+        # installed there counts one call per (degree, value-set) pair.
+        calls = []
+
+        def counted(d, values):
+            calls.append((d, values))
+            return is_representable(d, values)
+
+        monkeypatch.setattr("wcikit.analysis.is_representable", counted)
+        _representable.cache_clear()
+        # Covering strata over the values (2, 4, 6) and (6,); the weak
+        # candidates, of dimension 3, over (2, 4), (2, 6), (2, 4, 6), ...
+        degree_tuples = ((4, 6), (6, 8), (4, 6), (3, 6), (3, 5), (3, 5))
+        specs = [WCISpec((1, 1, 2, 2, 2, 4, 6), degs) for degs in degree_tuples]
+        reports = [classify(spec).to_json() for spec in specs]
+        assert len(calls) == len(set(calls)) > 0
+        assert any(si["dimca_codim"] is None for r in reports for si in r["strata"])
+        assert all(values == tuple(sorted(set(values))) for _, values in calls)
+        monkeypatch.undo()
+        _representable.cache_clear()
+        assert reports == [reference_report_json(spec) for spec in specs]

@@ -15,6 +15,7 @@ from wcikit import (
     run_census,
     write_census,
 )
+from wcikit.census import _ascending_tuples
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
 
@@ -49,6 +50,16 @@ class TestBounds:
             CensusBounds(max_n=0, max_weight=1, max_weight_sum=2, max_k=1, max_degree=1)
         with pytest.raises(ValueError):
             CensusBounds(max_n=1, max_weight=1, max_weight_sum=2, max_k=1, max_degree=1, min_dim=-1)
+
+    def test_flag_must_be_bool_and_min_dim_not_bool(self):
+        box = TINY.to_json()
+        for value in ("no", "", 1, 0, None):
+            with pytest.raises(ValueError, match="require_non_linear_cone must be true or false"):
+                CensusBounds.from_json({**box, "require_non_linear_cone": value})
+        for value in (True, False, 1.0):
+            with pytest.raises(ValueError, match="min_dim must be a non-negative integer"):
+                CensusBounds.from_json({**box, "min_dim": value})
+        assert CensusBounds.from_json({**box, "require_non_linear_cone": True, "min_dim": 1})
 
     def test_json_roundtrip(self):
         assert CensusBounds.from_json(TINY.to_json()) == TINY
@@ -105,6 +116,15 @@ class TestEnumerate:
             assert tuple(s.weights) == tuple(sorted(s.weights))
             assert tuple(s.degrees) == tuple(sorted(s.degrees))
             assert is_well_formed_space(s.weights)
+
+    def test_degree_tuples_are_ascending_tuples_with_a_slack_sum(self):
+        # enumerate_specs draws degrees from combinations_with_replacement; with
+        # the sum bound k * max_degree it is exactly _ascending_tuples.
+        for k in range(1, 5):
+            for top in range(1, 16):
+                assert list(combinations_with_replacement(range(1, top + 1), k)) == list(
+                    _ascending_tuples(k, 1, top, k * top)
+                ), (k, top)
 
     def test_completeness_against_independent_counter(self):
         for bounds in [

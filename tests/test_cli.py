@@ -167,15 +167,16 @@ class TestProbe:
 
     def test_poly_file_multi_prime_equals_one_call(self, capsys, tmp_path):
         # A rank-3 quadric cone in P^3 is singular at (0:0:0:1); GF(3)^4 and
-        # GF(5)^4 are scanned exhaustively, GF(7)^4 is sampled.
+        # GF(5)^4 (orbit slices of 40 and 156 points) are scanned
+        # exhaustively, GF(7)^4 (400 points) is sampled.
         poly_file = tmp_path / "cone.txt"
         poly_file.write_text("x0*x1 + x2^2\n")
         data = run_json(
             capsys, "probe", "1,1,1,1", "--degrees", "2", "--poly-file", str(poly_file),
-            "--primes", "3,5,7", "--max-points", "1000", "--sample-count", "500", "--seed", "4",
+            "--primes", "3,5,7", "--max-points", "200", "--sample-count", "500", "--seed", "4",
         )
         system = PolySystem((parse_poly("x0*x1 + x2^2", (1, 1, 1, 1), QQ),))
-        expected = quasi_smooth_probe(system, (3, 5, 7), 1000, sample_count=500, seed=4)
+        expected = quasi_smooth_probe(system, (3, 5, 7), 200, sample_count=500, seed=4)
         assert {p for p, _ in expected.witnesses} == {3, 5, 7} and not expected.exhaustive
         assert data == expected.to_json()
 
@@ -271,6 +272,26 @@ class TestCensus:
         code, stdout, _ = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
         assert code == 0
         assert json.loads(stdout)["total"] == 6
+
+    def test_config_with_a_non_bool_flag_or_a_bool_dim_exits_2(self, capsys, tmp_path):
+        box = {"max_n": 2, "max_weight": 2, "max_weight_sum": 4, "max_k": 1, "max_degree": 2}
+        out = tmp_path / "census.jsonl"
+        cfg = tmp_path / "bounds.json"
+        for extra, message in (
+            ({"require_non_linear_cone": "no"}, "require_non_linear_cone must be true or false"),
+            ({"require_non_linear_cone": 1}, "require_non_linear_cone must be true or false"),
+            ({"min_dim": True}, "min_dim must be a non-negative integer"),
+        ):
+            cfg.write_text(json.dumps({**box, **extra}))
+            code, _, err = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
+            assert code == 2 and message in err, (extra, err)
+            assert not out.exists()
+        for extra, total in (({"require_non_linear_cone": False}, 6),
+                             ({"require_non_linear_cone": True}, 2), ({"min_dim": 1}, 4)):
+            cfg.write_text(json.dumps({**box, **extra}))
+            code, stdout, err = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
+            assert code == 0, err
+            assert json.loads(stdout)["total"] == total, extra
 
     def test_empty_bounds(self, capsys, tmp_path):
         out = tmp_path / "census.jsonl"

@@ -29,7 +29,14 @@ from wcikit import (
     restrict,
     wf_witness_search,
 )
-from wcikit.oracle import _CHUNK_TERMS, _compiled_eval, _jacobian, _scan
+from wcikit.oracle import (
+    _CHUNK_TERMS,
+    _compiled_eval,
+    _jacobian,
+    _orbit_slice,
+    _orbit_slice_size,
+    _scan,
+)
 
 P1111 = (1, 1, 1, 1)
 FERMAT = PolySystem((parse_poly("x0^3 + x1^3 + x2^3 + x3^3", P1111, QQ),))
@@ -187,8 +194,9 @@ class TestQuasiSmoothProbe:
 
 class TestVerdictJoin:
     def test_multi_prime_probe_is_join_of_single_prime_probes(self):
-        for kwargs in ({}, {"max_points": 200, "sample_count": 100, "seed": 3}):
-            # With max_points=200, GF(5)^3 is scanned exhaustively and GF(7)^3 sampled.
+        for kwargs in ({}, {"max_points": 40, "sample_count": 100, "seed": 3}):
+            # With max_points=40, GF(5)^3 (an orbit slice of 31 points) is
+            # scanned exhaustively and GF(7)^3 (57 points) sampled.
             joined = QSVerdict.join(quasi_smooth_probe(NODE, (p,), **kwargs) for p in (5, 7))
             assert quasi_smooth_probe(NODE, (5, 7), **kwargs) == joined
         assert joined.fields_probed == (5, 7) and not joined.exhaustive
@@ -450,7 +458,8 @@ def reference_probe(sys_, p, max_points=10**7, sample_count=100_000, seed=0):
     derivs = [[partial_derivative(f, i) for i in range(n1)] for f in sys_.polys]
     f_evals = [reference_eval(f, p) for f in sys_.polys]
     d_evals = [[reference_eval(d, p) for d in row] for row in derivs]
-    exhaustive = p**n1 <= max_points
+    slice_size = sum(gcd(a, p - 1) * p ** (n1 - 1 - i) for i, a in enumerate(sys_.weights))
+    exhaustive = slice_size <= max_points
     if exhaustive:
         points = itertools.product(range(p), repeat=n1)
     else:
@@ -591,6 +600,30 @@ class TestOrbitSliceMatchesFullScan:
             assert report.points_scanned == scanned
             s_total += len(s_points)
         assert s_total
+
+
+class TestExhaustiveBySliceSize:
+    """A field is scanned exhaustively when its orbit slice fits ``max_points``."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_size_formula_counts_the_slice(self, p):
+        for n in (1, 2, 3):
+            for weights in itertools.product(range(1, 5), repeat=n):
+                assert _orbit_slice_size(p, weights) == sum(1 for _ in _orbit_slice(p, weights))
+
+    def test_cubic_in_p6_fits_its_slice(self):
+        # p^7 = 78,125 points exceed the budget; the slice has 19,531.
+        sys_ = PolySystem.generic((1,) * 7, (3,), GF(5), 1)
+        assert _orbit_slice_size(5, (1,) * 7) == 19_531
+        verdict = quasi_smooth_probe(sys_, (5,), max_points=20_000)
+        assert verdict.exhaustive and verdict.points_scanned == 5**7 - 1
+        assert len(verdict.witnesses) == 4
+        assert verdict == quasi_smooth_probe(sys_, (5,), max_points=10**5)
+
+    def test_one_point_short_of_the_slice_samples(self):
+        sys_ = PolySystem.generic((1,) * 7, (3,), GF(5), 1)
+        verdict = quasi_smooth_probe(sys_, (5,), max_points=19_530, sample_count=300)
+        assert not verdict.exhaustive and verdict.points_scanned <= 300
 
 
 # -- The generated evaluator -----------------------------------------------------
