@@ -8,6 +8,7 @@ and records streamed as deterministic JSONL with a JSON summary sidecar.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations_with_replacement
@@ -22,6 +23,7 @@ from .analysis import (
     classify,
     is_linear_cone,
 )
+from .jsonout import dump
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
 from .weights import Weights, is_well_formed_space
@@ -220,9 +222,17 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
     path is refused before any spec is classified.  On any exception,
     KeyboardInterrupt included, the lines written so far stay and the sidecar
     is replaced by a partial-output marker (best effort) before it propagates.
+    A sidecar that names the records' file is refused first, since writing it
+    would replace the records; two names of one device (``/dev/null``) are not.
     """
     path = Path(path)
     summary_path = summary_sidecar_path(path) if summary_path is None else Path(summary_path)
+    if path.exists() and summary_path.exists():
+        same = path.is_file() and os.path.samefile(path, summary_path)
+    else:
+        same = path.resolve() == summary_path.resolve()
+    if same:
+        raise ValueError(f"the summary {summary_path} and the records {path} are one file")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             while True:
@@ -232,7 +242,7 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
                     summary = done.value
                     break
         with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_json(), fh, indent=2)
+            dump(summary.to_json(), fh)
             fh.write("\n")
     except BaseException as exc:
         try:

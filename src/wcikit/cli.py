@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import WCISpec, classify
 from .census import CensusBounds, ProbeBudget, run_census, summary_sidecar_path, write_census
+from .jsonout import dump
 from .oracle import (
     DEFAULT_PRIMES,
     DEFAULT_SAMPLE_COUNT,
@@ -48,12 +49,12 @@ def _spec(args) -> WCISpec:
 
 
 def _emit(args, obj) -> None:
-    # json.dump writes the indenting encoder's chunks as they come, where
-    # json.dumps first collects all of them and joins them into one string, so a
-    # large document (strata --all) would sit in memory several times over.
+    # jsonout.dump writes the bytes of json.dump(obj, out, indent=2), in bounded
+    # batches as it encodes, so a large document (strata --all, an analyze with
+    # thousands of strata) is never held in memory as one string.
     path = getattr(args, "output", None)
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-        json.dump(obj, out, indent=2)
+        dump(obj, out)
         out.write("\n")
 
 
@@ -184,7 +185,8 @@ def cmd_census(args) -> int:
     _verbose(args, f"census bounds: {bounds.to_json()}")
     summary = write_census(run_census(bounds, probe), args.output, args.summary)
     _verbose(args, f"wrote {summary.total} records to {args.output}")
-    print(json.dumps(summary.to_json(), indent=2))
+    dump(summary.to_json(), sys.stdout)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -7,9 +7,12 @@ import os
 import tracemalloc
 
 import wcikit.census
+from wcikit.analysis import WCISpec, classify
+from wcikit.census import CensusBounds, run_census
 from wcikit.cli import _emit, main
-from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe
+from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe, wf_witness_search
 from wcikit.poly import GF, QQ, PolySystem, parse_poly
+from wcikit.weights import Stratum, Weights, singular_strata, well_form
 
 
 def run_cli(capsys, *argv):
@@ -411,6 +414,36 @@ class TestCensus:
         assert code == 0 and json.loads(out)["total"] == 6
         assert json.loads((tmp_path / "s.json").read_text())["total"] == 6
 
+    def test_summary_naming_the_output_is_refused_before_classifying(self, capsys, tmp_path, monkeypatch):
+        bounds = ("--max-n", "2", "--max-weight", "2", "--max-weight-sum", "4",
+                  "--max-k", "1", "--max-degree", "2")
+        out = tmp_path / "c.jsonl"
+        code, _, err = run_cli(capsys, "census", *bounds, "--output", str(out), "--summary", str(out))
+        assert code == 2 and "one file" in err, err
+        assert not out.exists()
+        assert run_cli(capsys, "census", *bounds, "--output", str(out), "--summary", str(tmp_path / "s"))[0] == 0
+        records = out.read_bytes()
+        assert len(records.splitlines()) == 6
+        os.link(out, tmp_path / "hard.jsonl")
+        os.symlink(out, tmp_path / "soft.jsonl")
+
+        def no_classify(spec):
+            raise AssertionError("a spec was classified")
+
+        monkeypatch.setattr("wcikit.census.classify", no_classify)
+        for summary in (out, tmp_path / "sub" / ".." / "c.jsonl", tmp_path / "hard.jsonl",
+                        tmp_path / "soft.jsonl"):
+            code, stdout, err = run_cli(
+                capsys, "census", *bounds, "--output", str(out), "--summary", str(summary),
+            )
+            assert code == 2 and stdout == "" and "one file" in err, (summary, err)
+            assert out.read_bytes() == records
+        monkeypatch.undo()
+        code, stdout, _ = run_cli(
+            capsys, "census", *bounds, "--output", os.devnull, "--summary", os.devnull,
+        )
+        assert code == 0 and json.loads(stdout)["total"] == 6
+
     def test_verbose_progress_notes(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "census", "--max-n", "2", "--max-weight", "2",
@@ -466,6 +499,58 @@ class TestHarness:
             "--output", str(out),
         )
         assert code == 0 and isinstance(json.loads(stdout), dict)
+
+    def test_every_document_matches_the_stdlib_encoder(self, capsys, tmp_path):
+        def emitted(*argv):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            return out
+
+        def indented(obj):
+            return json.dumps(obj, indent=2) + "\n"
+
+        for weights, degrees in (("1,1,2,2,2", (3, 4)), ("1,6,10,15", (9223372036854775807,))):
+            report = classify(WCISpec(Weights.parse(weights), degrees))
+            assert emitted("analyze", weights, "--degrees", ",".join(map(str, degrees))) == (
+                indented(report.to_json())
+            )
+        start = Weights.parse("4,6,10")
+        result, trace = well_form(start)
+        assert trace.steps
+        assert emitted("wellform", "4,6,10") == indented(
+            {"input": start.to_json(), "weights": str(result),
+             "entries": result.to_json(), "trace": trace.to_json()}
+        )
+        w = Weights.parse("1,1,2,2,2")
+        assert emitted("strata", "1,1,2,2,2", "--all") == indented(
+            {"weights": w.to_json(), "maximal_only": False,
+             "strata": [s.to_json() for s in singular_strata(w, maximal_only=False)]}
+        )
+        w = Weights.parse("1,1,2,2,2,2")
+        report = wf_witness_search(
+            WCISpec(w, (3, 4)), PolySystem.generic(w, (3, 4), GF(7), 1), Stratum.of(w, (2, 3, 4, 5)), 7,
+        )
+        assert report.s_points
+        assert emitted(
+            "witness", "1,1,2,2,2,2", "--degrees", "3,4", "--stratum", "2,3,4,5", "--prime", "7",
+        ) == indented(report.to_json())
+        poly_file = tmp_path / "node.txt"
+        poly_file.write_text("x0*x1\n")
+        verdict = quasi_smooth_probe(PolySystem((parse_poly("x0*x1", (1, 1, 1), QQ),)), DEFAULT_PRIMES)
+        assert emitted("probe", "1,1,1", "--degrees", "2", "--poly-file", str(poly_file)) == (
+            indented(verdict.to_json())
+        )
+        census = run_census(CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2))
+        while True:
+            try:
+                next(census)
+            except StopIteration as done:
+                summary = indented(done.value.to_json())
+                break
+        out = tmp_path / "c.jsonl"
+        assert emitted("census", "--max-n", "2", "--max-weight", "2", "--max-weight-sum", "4",
+                       "--max-k", "1", "--max-degree", "2", "--output", str(out)) == summary
+        assert (tmp_path / "c.jsonl.summary.json").read_text(encoding="utf-8") == summary
 
     def test_emit_streams_without_holding_the_document(self, capsys, tmp_path):
         obj = {"strata": [{"indices": [i, i + 1, i + 2], "delta": 2, "dim": 2} for i in range(20_000)]}

@@ -1,0 +1,75 @@
+"""The package's indented-JSON writer against the stdlib encoder."""
+
+import enum
+import io
+import json
+from collections import OrderedDict
+
+import pytest
+
+from wcikit.jsonout import _BATCH, dump
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+class Text(str):
+    pass
+
+
+def dumped(obj) -> str:
+    out = io.StringIO()
+    dump(obj, out)
+    return out.getvalue()
+
+
+def test_edge_cases_match_the_stdlib_byte_for_byte():
+    strings = ['"', "\\", "\x00\x01\x1f\n\r\t\x7f", "é", "\u2028", "\U0001f600", "", "plain"]
+    tree = {
+        "strings": strings,
+        "string keys": {s: s for s in strings},
+        "empty": [{}, [], {"a": {}, "b": []}, [[[]], [{}]], {"deep": {"deeper": {"deepest": []}}}],
+        "mixed": [1, True, 0, None],
+        "ints and bools": [0, True, 1, False],
+        "bools": [True, False, None],
+        "ints": [0, -1, -(2**70), 2**64, 2**64 + 1, 10**30],
+        "enum": Colour.BLUE,
+        "enums": [Colour.RED, Colour.BLUE],
+        "in an int list": [1, Colour.RED, 2],
+        "floats": [0.0, -0.5, 1e300, 1e-300, float("nan"), float("inf"), float("-inf")],
+        "float": 2.5,
+        "tuple": (1, (2, [3, {"x": ()}]), "t"),
+        "ordered": OrderedDict([("z", 1), ("a", [1, 2])]),
+        "str subclass": [Text("sub"), {Text("key"): Text("value")}],
+        "non-str keys": [{1: "int", True: "bool", None: "none", 1.5: "float"},
+                         {False: [], Colour.RED: {}}, {float("nan"): 0, float("inf"): 0}],
+        "nested": [[1, [2, [3, [4]]]], {"a": [{"b": [None]}]}],
+    }
+    for obj in (tree, *tree.values(), [tree, [tree]], "top", 7, None, True, 2.0, [], {}):
+        assert dumped(obj) == json.dumps(obj, indent=2), obj
+
+
+def test_non_str_keys_and_unknown_types_fail_as_in_the_stdlib():
+    for obj in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as ours:
+            dumped(obj)
+        assert str(ours.value) == str(stdlib.value)
+
+
+def test_writes_in_batches():
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    for obj in ([{"i": i} for i in range(5 * _BATCH)], ["s"] * (5 * _BATCH),
+                {str(i): [i] for i in range(5 * _BATCH)}):
+        writes.clear()
+        dump(obj, Recorder())
+        assert "".join(writes) == json.dumps(obj, indent=2)
+        assert len(writes) > 5 and max(map(len, writes)) < len("".join(writes)) / 4
