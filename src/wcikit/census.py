@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii
+from math import comb
 from pathlib import Path
 from typing import Generator, Iterator, Optional
 
@@ -21,12 +24,11 @@ from .analysis import (
     AnalysisReport,
     WCISpec,
     classify,
-    is_linear_cone,
 )
 from .jsonout import dump
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
-from .weights import Weights, is_well_formed_space
+from .weights import Stratum, Weights, is_well_formed_space
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,10 @@ def _ascending_tuples(length: int, lo: int, max_value: int, budget: int):
             yield (v,) + rest
 
 
-def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
-    """Every spec in the box exactly once, in deterministic order: ambient
-    dimension ascending, then weights lexicographically, then codimension,
-    then degrees.  Weights ascend and must be well formed; degrees ascend;
-    linear cones are skipped when the bounds require it."""
-    degree_range = range(1, bounds.max_degree + 1)
+def _ambients(bounds: CensusBounds):
+    """Each well-formed ascending weight tuple of the box, as ``Weights``,
+    with the largest codimension the box allows it (at least 1), in
+    enumeration order."""
     for n in range(1, bounds.max_n + 1):
         count = n + 1
         if count > bounds.max_weight_sum:
@@ -144,17 +144,40 @@ def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
             continue
         for entries in _ascending_tuples(count, 1, bounds.max_weight, bounds.max_weight_sum):
             w = Weights(entries)
-            if not is_well_formed_space(w):
-                continue
-            for k in range(1, k_top + 1):
-                # For degrees the sum bound k * max_degree never binds, so these
-                # are _ascending_tuples(k, 1, max_degree, k * max_degree), in
-                # the same order, built lazily at C speed.
-                for degs in combinations_with_replacement(degree_range, k):
-                    spec = WCISpec(w, degs)
-                    if bounds.require_non_linear_cone and is_linear_cone(spec):
-                        continue
-                    yield spec
+            if is_well_formed_space(w):
+                yield w, k_top
+
+
+def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
+    """Every spec in the box exactly once, in deterministic order: ambient
+    dimension ascending, then weights lexicographically, then codimension,
+    then degrees.  Weights ascend and must be well formed; degrees ascend.
+    When the bounds require it, linear cones are never built: the degrees
+    are drawn from the degree range without the weight tuple's values."""
+    degree_range = range(1, bounds.max_degree + 1)
+    for w, k_top in _ambients(bounds):
+        degrees = degree_range
+        if bounds.require_non_linear_cone:
+            degrees = [d for d in degree_range if d not in w.entries]
+        for k in range(1, k_top + 1):
+            # For degrees the sum bound k * max_degree never binds, so these
+            # are _ascending_tuples(k, 1, max_degree, k * max_degree) in the
+            # same order, less the tuples that meet a weight when cones are
+            # filtered, built lazily at C speed.
+            for degs in combinations_with_replacement(degrees, k):
+                yield WCISpec(w, degs)
+
+
+def _linear_cone_count(bounds: CensusBounds) -> int:
+    """How many linear cones the box holds: for each weight tuple with m
+    distinct values up to D = max_degree, the degree tuples of each length k
+    that meet one, C(D+k-1, k) - C(D-m+k-1, k)."""
+    top = bounds.max_degree
+    total = 0
+    for w, k_top in _ambients(bounds):
+        free = top - sum(1 for a in set(w.entries) if a <= top)
+        total += sum(comb(top + k - 1, k) - comb(free + k - 1, k) for k in range(1, k_top + 1))
+    return total
 
 
 def _probe_seed(spec: WCISpec, base_seed: int) -> int:
@@ -177,15 +200,12 @@ def run_census(
 ) -> Generator[CensusRecord, None, CensusSummary]:
     """Yield each spec's record in enumeration order as it is classified and,
     with a budget, its theorem-applicable records spot-probed.  The summary,
-    tallied on the way (skipped linear cones included), is the return value.
+    tallied on the way, is the return value; the linear cones, which the
+    enumeration never builds, are counted in closed form at the end.
     A probe can only certify non-quasi-smoothness, so it never contradicts a
     record's theorem status; its verdict is stored with the report."""
-    total = well_formed = weakly_only = neither = skipped = implies = probed = 0
-    base = replace(bounds, require_non_linear_cone=False)
-    for spec in enumerate_specs(base):
-        if bounds.require_non_linear_cone and is_linear_cone(spec):
-            skipped += 1
-            continue
+    total = well_formed = weakly_only = neither = implies = probed = 0
+    for spec in enumerate_specs(bounds):
         report = classify(spec)
         status = report.theorem_status
         verdict = None
@@ -198,6 +218,7 @@ def run_census(
         implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
         probed += verdict is not None
         yield CensusRecord(report, verdict)
+    skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
     return CensusSummary(
         total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
         linear_cone_skipped=skipped, theorem_implies_not_quasismooth=implies, probed=probed,
@@ -208,15 +229,65 @@ def summary_sidecar_path(path) -> Path:
     return Path(str(path) + ".summary.json")
 
 
-# One compact encoder for every record: json.dumps with non-default separators
-# would build a new one per call.  to_json builds fresh trees, so there are no
-# cycles to check for.
+# The compact encoding of an oracle verdict and of the cached line heads
+# below.  json.dumps with non-default separators would build a new encoder
+# per call; to_json builds fresh trees, so there are no cycles to check for.
 _encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+# Distinct weight tuples, and distinct strata, whose line heads are kept.
+# The 54,566-record census box meets 247 weight tuples, in runs, and 146 strata.
+LINE_HEAD_CACHE_SIZE = 1024
+
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+@lru_cache(maxsize=LINE_HEAD_CACHE_SIZE)
+def _spec_head(weights: tuple[int, ...]) -> str:
+    return '{"report":{"spec":{"weights":%s,"degrees":[' % _encode_line(list(weights))
+
+
+# Keyed on the fields, not the Stratum: equal strata of different ambients
+# are different objects, and their dataclass __eq__ and __hash__ run in Python.
+@lru_cache(maxsize=LINE_HEAD_CACHE_SIZE)
+def _stratum_head(indices: tuple[int, ...], delta: int) -> str:
+    return '{"stratum":%s,"cutting_degrees":[' % _encode_line(Stratum(indices, delta).to_json())
+
+
+def _record_line(record: CensusRecord) -> str:
+    """The line ``_encode_line(record.to_json())`` and its newline, built
+    from cached per-weight-tuple and per-stratum heads without the dict tree.
+    Ints format as ``int.__repr__`` does, booleans and None through
+    ``_LITERAL``, and strings through the encoder's own ASCII escaping."""
+    r = record.report
+    strata = ",".join([
+        f'{_stratum_head(si.stratum.indices, si.stratum.delta)}'
+        f'{",".join(map(str, si.cutting_degrees))}],'
+        f'"dim_general":{si.dim_general},"contained":{_LITERAL[si.contained]},'
+        f'"dimca_codim":{"null" if si.dimca_codim is None else si.dimca_codim},'
+        f'"dimca_agrees":{_LITERAL[si.dimca_agrees]}}}'
+        for si in r.strata
+    ])
+    self_int = r.canonical_self_intersection
+    verdict = record.oracle_verdict
+    return (
+        f'{_spec_head(r.spec.weights.entries)}{",".join(map(str, r.spec.degrees))}]}},'
+        f'"space_well_formed":{_LITERAL[r.space_well_formed]},"dim_X":{r.dim_X},'
+        f'"linear_cone":{_LITERAL[r.linear_cone]},"amplitude":{r.amplitude},'
+        f'"canonical_self_intersection":{{"num":{self_int.numerator},"den":{self_int.denominator}}},'
+        f'"strata":[{strata}],"sing_intersection_dim":{r.sing_intersection_dim},'
+        f'"well_formed":{_LITERAL[r.well_formed]},'
+        f'"weakly_well_formed":{_LITERAL[r.weakly_well_formed]},'
+        f'"theorem_status":{encode_basestring_ascii(r.theorem_status)},'
+        f'"flags":[{",".join(map(encode_basestring_ascii, r.flags))}]}},'
+        f'"oracle_verdict":{"null" if verdict is None else _encode_line(verdict.to_json())}}}\n'
+    )
 
 
 def write_census(census, path, summary_path=None) -> CensusSummary:
     """Write each record of ``census`` (a ``run_census`` generator) as one
     compact JSON line as it arrives, then the summary sidecar; return the summary.
+    Each line is the compact encoding of ``CensusRecord.to_json()``, byte for
+    byte, but is built from cached per-weight-tuple and per-stratum heads.
 
     The output is opened before the first record is drawn, so an unwritable
     path is refused before any spec is classified.  On any exception,
@@ -237,7 +308,7 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
         with open(path, "w", encoding="utf-8") as fh:
             while True:
                 try:
-                    fh.write(_encode_line(next(census).to_json()) + "\n")
+                    fh.write(_record_line(next(census)))
                 except StopIteration as done:
                     summary = done.value
                     break

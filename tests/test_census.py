@@ -2,22 +2,43 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 
+import wcikit.census
 from wcikit import (
     CensusBounds,
     ProbeBudget,
+    WCISpec,
+    classify,
     enumerate_specs,
     is_linear_cone,
     is_well_formed_space,
     run_census,
     write_census,
 )
-from wcikit.census import _ascending_tuples
+from wcikit.analysis import (
+    FLAG_DEGENERATE_CONTAINMENT,
+    FLAG_DIMCA_MISMATCH,
+    FLAG_NONINTEGRAL_SURFACE,
+)
+from wcikit.census import (
+    CensusRecord,
+    _ambients,
+    _ascending_tuples,
+    _encode_line,
+    _linear_cone_count,
+    _record_line,
+)
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
+# The probed census box of the benchmark: 38 records, probed at p = 5.
+PROBED = CensusBounds(
+    max_n=5, max_weight=2, max_weight_sum=11, max_k=2, max_degree=4,
+    require_non_linear_cone=True, min_dim=3,
+)
 
 
 def drain(census):
@@ -85,6 +106,15 @@ class TestProbeBudget:
         assert ProbeBudget(max_points=1, sample_count=1).max_points == 1
 
 
+# Boxes without the cone filter, for comparing it with a brute-force count.
+CONE_BOXES = (
+    CensusBounds(max_n=4, max_weight=4, max_weight_sum=9, max_k=2, max_degree=3),
+    CensusBounds(max_n=5, max_weight=6, max_weight_sum=11, max_k=3, max_degree=4, min_dim=1),
+    CensusBounds(max_n=6, max_weight=5, max_weight_sum=12, max_k=3, max_degree=7, min_dim=2),
+    CensusBounds(max_n=3, max_weight=3, max_weight_sum=8, max_k=2, max_degree=2),
+)
+
+
 class TestEnumerate:
     def test_tiny_stream_contents(self):
         keys = [s.key() for s in enumerate_specs(TINY)]
@@ -125,6 +155,23 @@ class TestEnumerate:
                 assert list(combinations_with_replacement(range(1, top + 1), k)) == list(
                     _ascending_tuples(k, 1, top, k * top)
                 ), (k, top)
+
+    def test_cone_filter_drops_exactly_the_cones_in_order(self):
+        for bounds in CONE_BOXES:
+            unfiltered = list(enumerate_specs(bounds))
+            filtered = list(enumerate_specs(replace(bounds, require_non_linear_cone=True)))
+            assert filtered == [s for s in unfiltered if not is_linear_cone(s)]
+
+    def test_linear_cone_count_against_brute_force(self):
+        for bounds in CONE_BOXES:
+            brute = sum(map(is_linear_cone, enumerate_specs(bounds)))
+            assert _linear_cone_count(bounds) == brute > 0, bounds
+        # With max_degree=2 every degree tuple of (1,1,2) meets a weight, so
+        # the weight tuple yields no spec at all and only the count sees it.
+        last = CONE_BOXES[-1]
+        assert any(w.entries == (1, 1, 2) for w, _ in _ambients(last))
+        filtered = enumerate_specs(replace(last, require_non_linear_cone=True))
+        assert all(s.weights.entries != (1, 1, 2) for s in filtered)
 
     def test_completeness_against_independent_counter(self):
         for bounds in [
@@ -174,6 +221,29 @@ class TestRunCensus:
         assert summary.linear_cone_skipped == 4
         assert summary.total == len(records) == 2
 
+    def test_summary_survives_a_wrapper_that_drops_the_return_value(self, monkeypatch):
+        # A profiler that re-yields enumerate_specs' items and drops its
+        # return value must not change the summary.
+        bounds = replace(CONE_BOXES[1], require_non_linear_cone=True)
+        expected = drain(run_census(bounds))
+        calls = []
+        real = wcikit.census.enumerate_specs
+
+        def rewrapped(*args, **kwargs):
+            calls.append(args)
+            it = real(*args, **kwargs)
+            while True:
+                try:
+                    item = next(it)
+                except StopIteration:
+                    return
+                yield item
+
+        monkeypatch.setattr("wcikit.census.enumerate_specs", rewrapped)
+        assert drain(run_census(bounds)) == expected
+        assert calls == [(bounds,)]
+        assert expected[1].linear_cone_skipped == _linear_cone_count(CONE_BOXES[1]) > 0
+
     def test_summary_partition(self):
         bounds = CensusBounds(max_n=4, max_weight=3, max_weight_sum=9, max_k=2, max_degree=4)
         records, summary = drain(run_census(bounds))
@@ -181,25 +251,54 @@ class TestRunCensus:
         assert summary.well_formed + summary.weakly_only + summary.neither == summary.total
 
     def test_probe_attaches_verdicts(self):
-        bounds = CensusBounds(
-            max_n=5, max_weight=2, max_weight_sum=11, max_k=2, max_degree=4,
-            require_non_linear_cone=True, min_dim=3,
-        )
-        records, summary = drain(run_census(bounds, ProbeBudget(primes=(5,), max_points=20_000)))
+        records, summary = drain(run_census(PROBED, ProbeBudget(primes=(5,), max_points=20_000)))
         probed = [r for r in records if r.oracle_verdict is not None]
         assert summary.probed == len(probed) > 0
         for rec in probed:
             assert rec.oracle_verdict.status in ("no_witness_found", "singular_witness")
 
     def test_probe_determinism(self):
-        bounds = CensusBounds(
-            max_n=5, max_weight=2, max_weight_sum=11, max_k=2, max_degree=4,
-            require_non_linear_cone=True, min_dim=3,
-        )
         budget = ProbeBudget(primes=(5,), max_points=20_000)
-        a = [r.to_json() for r in run_census(bounds, budget)]
-        b = [r.to_json() for r in run_census(bounds, budget)]
+        a = [r.to_json() for r in run_census(PROBED, budget)]
+        b = [r.to_json() for r in run_census(PROBED, budget)]
         assert a == b
+
+
+class TestRecordLine:
+    def test_matches_the_compact_encoding_of_to_json(self):
+        unfiltered = CensusBounds(max_n=6, max_weight=4, max_weight_sum=12, max_k=3, max_degree=6)
+        records = drain(run_census(unfiltered))[0]
+        assert len(records) == 6559
+        records += drain(run_census(PROBED, ProbeBudget(primes=(5,), max_points=20_000)))[0]
+        hand_built = [
+            ((1, 2, 2), (4,)),  # not a well-formed ambient
+            ((1, 6, 10, 15), (2**63 - 1,)),
+            ((1, 1, 1, 4, 6), (2,)),
+            ((1, 1, 2, 2, 2), (3, 4)),
+        ]
+        records += [CensusRecord(classify(WCISpec(w, d))) for w, d in hand_built]
+        seen = set()
+        for rec in records:
+            line = _record_line(rec)
+            assert line == _encode_line(rec.to_json()) + "\n", rec.report.spec.key()
+            r = rec.report
+            seen.add(("dim", r.dim_X))
+            seen.update(("flag", flag) for flag in r.flags)
+            seen.add(("linear_cone", r.linear_cone))
+            seen.add(("space_well_formed", r.space_well_formed))
+            seen.add(("63-bit degree", max(r.spec.degrees) > 2**62))
+            seen.add(("weak stratum", any(si.dimca_codim is None for si in r.strata)))
+            seen.add(("denominator 1", r.canonical_self_intersection.denominator == 1))
+            seen.add(("negative amplitude", r.amplitude < 0))
+            seen.add(("witnesses", bool(rec.oracle_verdict and rec.oracle_verdict.witnesses)))
+        assert seen >= {("dim", d) for d in range(6)}
+        assert seen >= {
+            ("flag", FLAG_DEGENERATE_CONTAINMENT), ("flag", FLAG_DIMCA_MISMATCH),
+            ("flag", FLAG_NONINTEGRAL_SURFACE),
+        }
+        for fact in ("linear_cone", "space_well_formed", "63-bit degree", "weak stratum",
+                     "denominator 1", "negative amplitude", "witnesses"):
+            assert {(fact, True), (fact, False)} <= seen, fact
 
 
 class TestPersistence:
