@@ -202,6 +202,7 @@ def _compiled_eval(poly, powt, p):
             P3 = powt[pt[3]]
             return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
 
+    Exponents are reduced by ``_reduced`` (over GF(3), x3^4 reads ``P3[2]``).
     A polynomial above ``_CHUNK_TERMS`` terms is compiled in chunks and their
     values summed.
     """
@@ -224,9 +225,16 @@ def _straight_line(terms, powt, p):
     )
 
 
+def _reduced(e: int, p: int) -> int:
+    """The exponent at most p-1 that acts as e on GF(p): by Fermat,
+    x^e = x^((e-1) mod (p-1) + 1) for every x, 0 included, when e >= 1."""
+    return (e - 1) % (p - 1) + 1 if e else 0
+
+
 def _sum_source(terms, p):
     """The value of ``terms`` mod p as source text reading the power-table row
     ``Pi`` of each coordinate i, and the sorted coordinates it reads.
+    Exponents are ``_reduced``.
 
     A sum over a tuple, unlike a chain of ``+``, compiles at any length.  Only
     ints reach the source: the coefficients must be ints (TypeError
@@ -237,10 +245,20 @@ def _sum_source(terms, p):
         if type(coeff) is not int:
             raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
         products.append(
-            "*".join([str(coeff), *(f"P{i}[{e}]" for i, e in enumerate(exps) if e)]) + ","
+            "*".join([str(coeff), *(f"P{i}[{_reduced(e, p)}]" for i, e in enumerate(exps) if e)])
+            + ","
         )
     used = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
     return f"sum(({''.join(products)})) % {p}", used
+
+
+def _by_last_exponent(terms, p):
+    """The terms grouped by the ``_reduced`` exponent of the last coordinate,
+    in ascending order of it, each term with that exponent set to 0."""
+    groups = {}
+    for exps, coeff in terms:
+        groups.setdefault(_reduced(exps[-1], p), []).append((exps[:-1] + (0,), coeff))
+    return sorted(groups.items())
 
 
 def _generated(lines, namespace, name):
@@ -250,7 +268,8 @@ def _generated(lines, namespace, name):
 
 
 def _power_table(p, max_exp):
-    return [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
+    """``powt[x][e]`` = x^e mod p for the ``_reduced`` exponents, at most p-1."""
+    return [[pow(x, e, p) for e in range(min(max_exp, p - 1) + 1)] for x in range(p)]
 
 
 def _max_exponent(polys) -> int:
@@ -299,51 +318,97 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     """The points, in scan order, where every equation vanishes and the matrix
     of polynomials has rank below ``rank``.
 
-    One generated function runs the loop, e.g. for equations f0, f1 and the
-    one-row matrix [[g0, g1]] over GF(5)::
+    One generated function runs the loop, e.g. for f0 = 2*x0^3*x3 + 4*x3^4 +
+    x1^2*x2^2, further equations f1 and f2, and the one-row matrix [[g0, g1]]
+    over GF(5)::
 
         def scan(points):
             out = []
+            Q = Q1 = None
             for pt in points:
-                P0 = powt[pt[0]]
-                P3 = powt[pt[3]]
-                if sum((2*P0[2]*P3[1], 4*P3[4],)) % 5:
+                if Q != pt[:-1]:
+                    Q = pt[:-1]
+                    P1 = powt[pt[1]]
+                    P2 = powt[pt[2]]
+                    C0_0 = sum((1*P1[2]*P2[2],)) % 5
+                    P0 = powt[pt[0]]
+                    C0_1 = sum((2*P0[3],)) % 5
+                    C0_4 = sum((4,)) % 5
+                T = powt[pt[-1]]
+                if (C0_0 + C0_1*T[1] + C0_4*T[4]) % 5:
                     continue
-                if F1(pt):
+                if Q1 is not Q:
+                    Q1 = Q
+                    C1_0 = ...
+                    C1_2 = ...
+                if (C1_0 + C1_2*T[2]) % 5:
+                    continue
+                if F2(pt):
                     continue
                 if matrix_rank([[M0_0(pt), M0_1(pt)]], field) < 1:
                     out.append(pt)
             return out
 
-    Equations are tested inline, each power-table row read once where it is
-    first needed, while their terms total at most ``_CHUNK_TERMS``, so no
-    compile() sees more.  A further equation (F1 here) and every matrix entry
-    are ``_compiled_eval`` functions against the same power table.  The rank
-    is computed only at the equations' common zeros.
+    Equations are tested inline while their terms total at most
+    ``_CHUNK_TERMS``, so no compile() sees more.  An inline equation is a
+    polynomial in the last coordinate whose coefficients are computed once
+    per prefix ``pt[:-1]``: the first equation's when the prefix changes,
+    each later one's the first time a point of the prefix passes the
+    equations before it (``Qj``, compared by identity, holds the prefix they
+    were computed for and so keeps it alive).  An exhaustive slice comes in
+    runs of p points sharing a prefix, where a point costs a few products per
+    equation; sampled draws rarely share one, and laziness spares them the
+    coefficients of equations they never reach.  Exponents are ``_reduced``,
+    so the power table has at most p columns.  A further equation (F2 here)
+    and every matrix entry are ``_compiled_eval`` functions against the same
+    power table.  The rank is computed only at the equations' common zeros.
     """
     entries = [g for row in matrix for g in row]
     powt = _power_table(p, _max_exponent([*equations, *entries]))
     # matrix_rank is read from the module here, so a wrapper installed on it
     # sees every call.
     namespace = {"powt": powt, "field": field, "matrix_rank": matrix_rank}
-    lines = ["def scan(points):", "    out = []", "    for pt in points:"]
-    read, budget = set(), _CHUNK_TERMS
+    prefixes, body = [], []
+    read, read_last, budget = set(), False, _CHUNK_TERMS
     for j, f in enumerate(equations):
         budget -= len(f.terms)
-        if budget >= 0:
-            total, used = _sum_source(f.terms, p)
-            lines += [f"        P{i} = powt[pt[{i}]]" for i in used if i not in read]
-            read.update(used)
-        else:
+        if budget < 0:
             namespace[f"F{j}"] = _compiled_eval(f, powt, p)
-            total = f"F{j}(pt)"
-        lines += [f"        if {total}:", "            continue"]
+            body += [f"        if F{j}(pt):", "            continue"]
+            continue
+        if not f.terms:
+            # The zero polynomial vanishes everywhere.
+            continue
+        if prefixes:
+            prefixes.append(f"Q{j}")
+            body += [f"        if Q{j} is not Q:", f"            Q{j} = Q"]
+        else:
+            prefixes.append("Q")
+            body += ["        if Q != pt[:-1]:", "            Q = pt[:-1]"]
+        groups = _by_last_exponent(f.terms, p)
+        for e, terms in groups:
+            total, used = _sum_source(terms, p)
+            body += [f"            P{i} = powt[pt[{i}]]" for i in used if i not in read]
+            read.update(used)
+            body.append(f"            C{j}_{e} = {total}")
+        if groups[-1][0] and not read_last:
+            read_last = True
+            body.append("        T = powt[pt[-1]]")
+        value = " + ".join(f"C{j}_{e}*T[{e}]" if e else f"C{j}_0" for e, _ in groups)
+        if groups[-1][0]:
+            value = f"({value}) % {p}"
+        body += [f"        if {value}:", "            continue"]
     rows = []
     for r, row in enumerate(matrix):
         for c, g in enumerate(row):
             namespace[f"M{r}_{c}"] = _compiled_eval(g, powt, p)
         rows.append(f"[{', '.join(f'M{r}_{c}(pt)' for c in range(len(row)))}]")
-    lines += [
+    lines = [
+        "def scan(points):",
+        "    out = []",
+        *([f"    {' = '.join(prefixes)} = None"] if prefixes else []),
+        "    for pt in points:",
+        *body,
         f"        if matrix_rank([{', '.join(rows)}], field) < {rank}:",
         "            out.append(pt)",
         "    return out",

@@ -4,8 +4,13 @@ import argparse
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import wcikit
 import wcikit.census
 from wcikit.analysis import WCISpec, classify
 from wcikit.census import CensusBounds, run_census
@@ -182,6 +187,36 @@ class TestProbe:
         expected = quasi_smooth_probe(system, (3, 5, 7), 200, sample_count=500, seed=4)
         assert {p for p, _ in expected.witnesses} == {3, 5, 7} and not expected.exhaustive
         assert data == expected.to_json()
+
+    def test_huge_exponents_finish_at_once(self, tmp_path):
+        # Exponents are reduced mod p-1, so the power table has at most p
+        # columns whatever the degree; with full exponents it had p*10^9
+        # entries.  A child process under a 1 GB address-space limit fails
+        # fast instead if that comes back.
+        point = {3: [[1, 0], [2, 0]], 5: [[t, 0] for t in range(1, 5)]}
+        for poly, expected in (
+            ("x0^1000000001 + x1^1000000001", {3: [], 5: []}),
+            ("x0*x1^1000000000", point),
+        ):
+            poly_file = tmp_path / "huge.txt"
+            poly_file.write_text(poly + "\n")
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            child = subprocess.run(
+                [sys.executable, "-m", "wcikit", "probe", "1,1", "--degrees", "1000000001",
+                 "--poly-file", str(poly_file), "--primes", "3,5"],
+                capture_output=True, text=True, timeout=20,
+                env={**os.environ, "PYTHONPATH": str(Path(wcikit.__file__).parents[1])},
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+            )
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            assert child.returncode == 0, child.stderr
+            cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            assert cpu_s < 1.0, (poly, cpu_s)
+            data = json.loads(child.stdout)
+            witnesses = {p: [w["point"] for w in data["witnesses"] if w["prime"] == p] for p in (3, 5)}
+            assert witnesses == expected, poly
+            assert data["status"] == ("singular_witness" if expected[3] else "no_witness_found")
+            assert data["fields_probed"] == [3, 5] and data["exhaustive"] is True
 
     def test_generic_seeded(self, capsys):
         data = run_json(

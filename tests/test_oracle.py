@@ -8,6 +8,8 @@ from math import gcd
 
 import pytest
 
+import wcikit.oracle as oracle
+
 from wcikit import (
     GF,
     QQ,
@@ -834,3 +836,112 @@ class TestScan:
         assert peak < 20 * 2**20
         assert found == reference_scan(7, points, (poly,), [[entry]], 1)
         assert evaluate(poly, points[0]) and found == [on]
+
+
+def common_zeros_agree(p, points, equations):
+    """``_scan`` with an empty matrix (rank 0 < 1 everywhere) returns the
+    equations' common zeros in scan order; it equals the reference, whose
+    full-exponent power table checks the Fermat reduction independently."""
+    found = _scan(p, GF(p), points, equations, (), 1)
+    assert found == reference_scan(p, points, equations, (), 1)
+    return found
+
+
+def system(polys, weights, p):
+    return PolySystem(tuple(parse_poly(f, weights, GF(p)) for f in polys))
+
+
+class TestGroupedScan:
+    """The inline equations are polynomials in the last coordinate whose
+    coefficients are computed once per prefix, and exponents are reduced mod
+    p-1; every point order and every shape of system agrees with the
+    reference."""
+
+    def test_reduced_exponents_act_as_the_full_ones(self):
+        for p in (2, 3, 5, 7, 13):
+            for e in range(3 * p):
+                r = oracle._reduced(e, p)
+                assert r <= p - 1 and (r == 0) == (e == 0)
+                assert all(pow(x, r, p) == pow(x, e, p) for x in range(p)), (p, e)
+            assert [len(row) for row in oracle._power_table(p, 10**5)] == [p] * p
+            assert len(oracle._power_table(p, 1)[0]) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_orbit_slice_in_runs_of_p(self, p):
+        # k = 1, 2 and 3; the slice comes in runs of p points sharing a prefix.
+        systems = [
+            PolySystem.generic((1, 1, 1, 1), (3,), GF(p), 1),
+            PolySystem.generic((1, 1, 1, 1), (2, 3), GF(p), 2),
+            PolySystem.generic((1, 1, 1, 1, 1), (1, 1, 2), GF(p), 3),
+        ]
+        for s in systems:
+            points = list(_orbit_slice(p, s.weights.entries))
+            assert common_zeros_agree(p, points, s.polys)
+            scans_agree(s, p, points)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_exponents_at_least_p(self, p):
+        # x2^14 is an equation in the last coordinate alone, x0^13*x1 + x1^14
+        # one without it.
+        members = [
+            ["x0^13*x1 + x1^14"],
+            ["x0^13*x2 + x1^7*x2^7 + x2^14", "x0^13*x1 + x1^14"],
+            ["x2^14", "x0^2*x1^12 + x1^13*x2 + x0^9*x2^5"],
+            ["x0^13*x1 + x1^14", "x1^12*x2^2 + x0^3*x2^11", "x2^14 + x0^7*x1^7"],
+        ]
+        for polys in members:
+            n = 2 if len(polys) == 1 else 3
+            s = system(polys, (1,) * n, p)
+            points = nonzero_points(p, n)
+            assert common_zeros_agree(p, points, s.polys)
+            scans_agree(s, p, points)
+
+    def test_sampled_dict(self):
+        s = PolySystem.generic((1, 1, 2, 2, 3), (4, 6), GF(7), 5)
+        rng = random.Random(11)
+        points = dict.fromkeys(tuple(rng.randrange(7) for _ in range(5)) for _ in range(3000))
+        points.pop((0,) * 5, None)
+        assert common_zeros_agree(7, points, s.polys) == common_zeros_agree(7, list(points), s.polys)
+        scans_agree(s, 7, points)
+
+    def test_a_prefix_that_comes_back(self):
+        # Runs with prefixes A, B, A: the second A run is new, not the first's.
+        s = system(["x0 + 4*x2", "x1*x2 + 4*x2^2", "x0^2 + 4*x1*x2"], (1, 1, 1), 5)
+        a, b = (1, 1), (2, 2)
+        points = [q + (x,) for q in (a, b, a) for x in range(5)]
+        for k in (1, 2, 3):
+            found = common_zeros_agree(5, points, s.polys[:k])
+            assert found.count((1, 1, 1)) == 2 and (2, 2, 2) in found
+
+    def test_lazy_coefficients_belong_to_their_prefix(self):
+        # Equation 1's coefficients are computed at B's second point, the
+        # first to pass equation 0 there, after A's were: x0 = x1 = x2 only
+        # holds if they are B's.
+        s = system(["x0 + 4*x2", "x1 + 4*x2"], (1, 1, 1), 5)
+        points = [(1, 1, 1), (2, 2, 0), (2, 2, 2), (3, 2, 1), (3, 2, 3), (3, 3, 3)]
+        assert common_zeros_agree(5, points, s.polys) == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+        # The same with the equations' coordinates read in another order.
+        s = system(["x2 + 4*x0", "x2^2 + 4*x1^2"], (1, 1, 1), 5)
+        assert common_zeros_agree(5, points, s.polys) == [(1, 1, 1), (2, 2, 2), (3, 2, 3), (3, 3, 3)]
+
+    def test_zero_polynomial_among_equations(self):
+        zero = SparsePoly.from_terms(GF(5), (1, 1, 1), {}, degree=2)
+        f, g = (parse_poly(t, (1, 1, 1), GF(5)) for t in ("x0*x2 + x1^2", "x2^2 + x0*x1"))
+        points = nonzero_points(5, 3)
+        zeros = common_zeros_agree(5, points, (f, g))
+        for equations in ((zero, f, g), (f, zero, g), (f, g, zero)):
+            assert common_zeros_agree(5, points, equations) == zeros
+        assert common_zeros_agree(5, points, (zero,)) == points
+
+    def test_inline_and_chunked_equations(self, monkeypatch):
+        # Under a bound of 10 terms a 3-term equation listed first is inlined
+        # and the 15-term quadrics after it are compiled in chunks; listed
+        # after them it is chunked too, the budget being spent.
+        monkeypatch.setattr(oracle, "_CHUNK_TERMS", 10)
+        generic = PolySystem.generic((1,) * 5, (2, 2), GF(3), 4)
+        assert [f.num_terms for f in generic.polys] == [15, 15]
+        short = parse_poly("x0*x4 + x1*x2 + x4^2", (1,) * 5, GF(3))
+        points = nonzero_points(3, 5)
+        for equations in ((short, *generic.polys), (*generic.polys, short)):
+            assert common_zeros_agree(3, points, equations)
+            scans_agree(PolySystem(equations), 3, points)
