@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
 from math import gcd, prod
 
 from .weights import (
@@ -22,6 +21,7 @@ from .weights import (
     Stratum,
     Weights,
     _singular_index_sets,
+    _trusted,
     as_weights,
     is_well_formed_space,
     singular_strata,
@@ -82,7 +82,7 @@ class WCISpec:
         return {"weights": self.weights.to_json(), "degrees": list(self.degrees)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumIntersection:
     """How the general member meets one stratum.
 
@@ -284,11 +284,12 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
     self-intersection number amplitude^dim * (prod degrees)/(prod weights) as
     an exact rational.  Both carry geometric meaning only for quasi-smooth
     well-formed families; the classification report flags the caveats."""
-    amplitude = sum(spec.degrees) - sum(spec.weights.entries)
-    self_int = Fraction(
-        amplitude**spec.dimension * prod(spec.degrees), prod(spec.weights.entries)
-    )
-    return amplitude, self_int
+    return _adjunction(spec.degrees, spec.weights.entries, spec.dimension)
+
+
+def _adjunction(degrees, entries, dim: int) -> tuple[int, Fraction]:
+    amplitude = sum(degrees) - sum(entries)
+    return amplitude, Fraction(amplitude**dim * prod(degrees), prod(entries))
 
 
 # The (degree, value-set) pairs whose representability classify keeps.  A
@@ -310,14 +311,56 @@ def _representable(d: int, values: tuple[int, ...]) -> bool:
     return is_representable(d, values)
 
 
+# Degrees whose facts one ambient keeps; the table is cleared when full, so a
+# caller sweeping many degrees over one ambient holds at most this many.
+DEGREE_FACTS_SIZE = 256
+
+# Degree patterns whose verdicts classify keeps.  The census visits each
+# ambient in one run, so its 4,740 patterns hit as often in 512 entries as
+# in an unbounded memo.
+PATTERN_CACHE_SIZE = 512
+
+
+class _DegreeFacts(dict):
+    """One ambient's facts per degree, each the bits of one int: bit i if
+    the degree cuts covering stratum i (is representable over its values),
+    bit n + i if that stratum's delta divides it, and bit 2n + g if it cuts
+    the weak candidates of group g, where n counts the covering strata.  A
+    missing degree is computed on lookup; the table is cleared when it holds
+    ``DEGREE_FACTS_SIZE`` degrees."""
+
+    def __init__(self, covering, weak):
+        super().__init__()
+        self.covering = covering
+        self.weak = weak
+
+    def __missing__(self, d: int) -> int:
+        n = len(self.covering)
+        facts = 0
+        for i, (st, _, values, _) in enumerate(self.covering):
+            if _representable(d, values):
+                facts |= 1 << i
+            if d % st.delta == 0:
+                facts |= 1 << (n + i)
+        for g, (values, _) in enumerate(self.weak, 2 * n):
+            if _representable(d, values):
+                facts |= 1 << g
+        if len(self) >= DEGREE_FACTS_SIZE:
+            self.clear()
+        self[d] = facts
+        return facts
+
+
 @lru_cache(maxsize=1024)
-def _ambient(weights: Weights, dim_x: int):
-    """The degree-free facts ``classify`` needs: None for a non-well-formed
-    ambient, otherwise one (stratum, its dimension, its sorted distinct
-    weight values, count of weights delta divides) tuple per covering
-    stratum, in report order, and the weak candidates (the other singular
-    strata of dimension dim_x - 1) grouped by their sorted distinct weight
-    values, on which representability, hence containment, alone depends."""
+def _ambient(weights: Weights, dim_x: int) -> _DegreeFacts | None:
+    """The degree-free facts ``classify`` needs, with the table of per-degree
+    facts they index: None for a non-well-formed ambient, otherwise a
+    ``_DegreeFacts`` whose ``covering`` holds one (stratum, its dimension,
+    its sorted distinct weight values, count of weights delta divides) tuple
+    per covering stratum, in report order, and whose ``weak`` holds the weak
+    candidates (the other singular strata of dimension dim_x - 1) grouped by
+    their sorted distinct weight values, on which representability, hence
+    containment, alone depends."""
     if not is_well_formed_space(weights):
         return None
     covering = tuple(
@@ -326,12 +369,59 @@ def _ambient(weights: Weights, dim_x: int):
     )
     known = {st.indices for st, *_ in covering}
     weak: dict[tuple[int, ...], list[Stratum]] = {}
-    # Sorted, so classify's final sort merges sorted runs.
+    # Sorted, so _pattern's final sort merges sorted runs.  The index sets
+    # come out of combinations sorted and distinct.
     for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
         if idx not in known:
             values = weights.at(idx)
-            weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
-    return covering, tuple((values, tuple(strata)) for values, strata in weak.items())
+            weak.setdefault(_values(values), []).append(_trusted(Stratum, idx, gcd(*values)))
+    return _DegreeFacts(covering, tuple((values, tuple(strata)) for values, strata in weak.items()))
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern(weights: Weights, dim_x: int, facts: tuple[int, ...]):
+    """The degree-dependent verdict of every family over a well-formed
+    ambient whose degrees, in order, have the given facts: the strata tuple
+    (shared between reports, since its items are frozen), the singular
+    intersection dimension, and whether the weak check failed, a stratum is
+    degenerately contained and the Dimca count disagrees."""
+    ambient = _ambient(weights, dim_x)
+    covering, weak = ambient.covering, ambient.weak
+    n = len(covering)
+    inters = []
+    sing_dim = -1
+    weak_found = degenerate = mismatch = False
+    # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
+    codim_base = dim_x + 1
+    for i, (st, st_dim, _, n_delta) in enumerate(covering):
+        cutting = tuple(j for j, f in enumerate(facts) if f >> i & 1)
+        dc = sum(f >> (n + i) & 1 for f in facts) - n_delta + codim_base
+        if cutting:
+            dim_general = max(st_dim - len(cutting), -1)
+        else:
+            dim_general = st_dim
+            weak_found = weak_found or st_dim == dim_x - 1
+            degenerate = degenerate or st_dim == dim_x
+        sing_dim = max(sing_dim, dim_general)
+        # Compare dimensions with both sides floored at -1: below that both
+        # formulas just mean the empty set.
+        agrees = max(dim_x - dc, -1) == dim_general
+        mismatch = mismatch or not agrees
+        inters.append(StratumIntersection(st, cutting, dim_general, not cutting, dc, agrees))
+    # A contained stratum of codimension one in the family forces the
+    # singular intersection up to dim_X - 1 even when the covering family's
+    # per-stratum model misses it (the restrictions need not cut
+    # independently); fold those strata in so well_formed cannot contradict
+    # weakly_well_formed.
+    covered = len(inters)
+    for g, (_, strata) in enumerate(weak, 2 * n):
+        if not any(f >> g & 1 for f in facts):
+            inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
+    if len(inters) > covered:
+        weak_found = True
+        sing_dim = max(sing_dim, dim_x - 1)
+        inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
+    return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 
 def classify(spec: WCISpec) -> AnalysisReport:
@@ -344,59 +434,29 @@ def classify(spec: WCISpec) -> AnalysisReport:
     The facts that do not depend on the degrees (well-formedness of the
     ambient, its covering strata with their dimensions and weight values,
     the weight half of the Dimca count, the weak candidates) are computed
-    once per weight tuple and dimension in a bounded cache, and each
-    degree's representability over a value set once per (degree, value-set)
-    pair in another.  A call then makes one pass over the covering strata,
-    which yields the singular intersection dimension, the weak evidence and
-    both stratum flags, and sorts the strata only when the weak check adds
-    some.
+    once per weight tuple and dimension in a bounded cache.  Each degree's
+    facts over that ambient (which covering strata and weak candidate groups
+    it cuts, which covering deltas divide it) are one int in the ambient's
+    bounded table, with each (degree, value-set) representability question
+    decided once in a third cache.  The verdict depends on the degrees only
+    through the tuple of their facts, so the strata, the singular
+    intersection dimension and the weak, degenerate and Dimca outcomes are
+    computed once per (ambient, degree pattern) in a ``PATTERN_CACHE_SIZE``
+    cache.  A call then adds what is specific to the record: the linear
+    cone, the adjunction data, the flags and the status.
     """
     dim_x = spec.dimension
-    degrees = spec.degrees
     ambient = _ambient(spec.weights, dim_x)
     space_well_formed = ambient is not None
-    inters = []
-    sing_dim = -1
-    weak_found = degenerate = mismatch = False
     if space_well_formed:
-        covering, weak = ambient
-        positions = range(len(degrees))
-        # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
-        codim_base = dim_x + 1
-        for st, st_dim, values, n_delta in covering:
-            cutting = tuple(compress(positions, map(_representable, degrees, repeat(values))))
-            dc = sum(1 for d in degrees if d % st.delta == 0) - n_delta + codim_base
-            if cutting:
-                dim_general = max(st_dim - len(cutting), -1)
-            else:
-                dim_general = st_dim
-                weak_found = weak_found or st_dim == dim_x - 1
-                degenerate = degenerate or st_dim == dim_x
-            sing_dim = max(sing_dim, dim_general)
-            # Compare dimensions with both sides floored at -1: below that both
-            # formulas just mean the empty set.
-            agrees = max(dim_x - dc, -1) == dim_general
-            mismatch = mismatch or not agrees
-            inters.append(
-                StratumIntersection(st, cutting, dim_general, not cutting, dc, agrees)
-            )
-        # A contained stratum of codimension one in the family forces the
-        # singular intersection up to dim_X - 1 even when the covering family's
-        # per-stratum model misses it (the restrictions need not cut
-        # independently); fold those strata in so well_formed cannot contradict
-        # weakly_well_formed.
-        covered = len(inters)
-        for values, strata in weak:
-            if not any(map(_representable, degrees, repeat(values))):
-                inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
-        if len(inters) > covered:
-            weak_found = True
-            sing_dim = max(sing_dim, dim_x - 1)
-            inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
+        facts = tuple(map(ambient.__getitem__, spec.degrees))
+        inters, sing_dim, weak_found, degenerate, mismatch = _pattern(spec.weights, dim_x, facts)
+    else:
+        inters, sing_dim, weak_found, degenerate, mismatch = (), -1, False, False, False
     well_formed = space_well_formed and dim_x - sing_dim >= 2
     weakly_well_formed = space_well_formed and not weak_found
     cone = is_linear_cone(spec)
-    amplitude, self_int = adjunction_data(spec)
+    amplitude, self_int = _adjunction(spec.degrees, spec.weights.entries, dim_x)
 
     flags = []
     if degenerate:
@@ -422,7 +482,7 @@ def classify(spec: WCISpec) -> AnalysisReport:
         linear_cone=cone,
         amplitude=amplitude,
         canonical_self_intersection=self_int,
-        strata=tuple(inters),
+        strata=inters,
         sing_intersection_dim=sing_dim,
         well_formed=well_formed,
         weakly_well_formed=weakly_well_formed,

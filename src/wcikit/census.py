@@ -28,7 +28,7 @@ from .analysis import (
 from .jsonout import dump
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
-from .weights import Stratum, Weights, is_well_formed_space
+from .weights import MAX_ENTRY, Stratum, Weights, _trusted, is_well_formed_space
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,9 @@ class CensusBounds:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.max_degree > MAX_ENTRY:
+            # enumerate_specs builds specs unchecked from this range.
+            raise ValueError(f"max_degree {self.max_degree} exceeds the 2^63-1 limit")
         if not isinstance(self.min_dim, int) or isinstance(self.min_dim, bool) or self.min_dim < 0:
             raise ValueError(f"min_dim must be a non-negative integer, got {self.min_dim!r}")
         if not isinstance(self.require_non_linear_cone, bool):
@@ -163,9 +166,11 @@ def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
             # For degrees the sum bound k * max_degree never binds, so these
             # are _ascending_tuples(k, 1, max_degree, k * max_degree) in the
             # same order, less the tuples that meet a weight when cones are
-            # filtered, built lazily at C speed.
+            # filtered, built lazily at C speed.  w is a validated Weights,
+            # the degrees are ints in [1, max_degree] and k <= dim, so the
+            # spec skips WCISpec's checks.
             for degs in combinations_with_replacement(degrees, k):
-                yield WCISpec(w, degs)
+                yield _trusted(WCISpec, w, degs)
 
 
 def _linear_cone_count(bounds: CensusBounds) -> int:

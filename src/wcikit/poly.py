@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .weights import Weights, as_weights
 
@@ -277,19 +278,21 @@ class SparsePoly:
         return "".join(chunks)
 
 
-def monomials_of_degree(weights, degree: int):
-    """Yield all exponent vectors of the given weighted degree, lexicographically ascending."""
-    *head, last = as_weights(weights).entries
-    if degree < 0:
-        return
-    # An odometer over the exponents of all but the last coordinate, whose
-    # exponent is then forced by the degree left over.
+# Steps the monomial odometer may take for one equation of a generic member:
+# one per exponent vector of all but the last coordinate whose weighted
+# degree is at most the degree, so at least the member's term count.  A
+# degree needing more is refused with ValueError before any term is stored.
+MAX_GENERIC_TERMS = 2**16
+
+
+def _odometer(head, degree: int):
+    """Each exponent vector of the ``head`` weights of weighted degree at most
+    ``degree``, lexicographically ascending, with the degree left over.  The
+    vector is one list, updated in place between steps."""
     exps = [0] * len(head)
     left = degree
     while True:
-        q, r = divmod(left, last)
-        if r == 0:
-            yield (*exps, q)
+        yield exps, left
         i = len(head) - 1
         while i >= 0 and left < head[i]:
             left += exps[i] * head[i]
@@ -301,18 +304,39 @@ def monomials_of_degree(weights, degree: int):
         left -= head[i]
 
 
+def monomials_of_degree(weights, degree: int):
+    """Yield all exponent vectors of the given weighted degree, lexicographically ascending."""
+    *head, last = as_weights(weights).entries
+    if degree < 0:
+        return
+    # The last coordinate's exponent is forced by the degree left over.
+    for exps, left in _odometer(head, degree):
+        q, r = divmod(left, last)
+        if r == 0:
+            yield (*exps, q)
+
+
 def generic_poly(weights, degree: int, field: PrimeField, seed: int) -> SparsePoly:
     """Polynomial with every monomial of the degree present, each with an
     independent pseudo-random nonzero coefficient from a generator seeded by
     ``seed``.  Returns the zero polynomial when no monomial of that degree
-    exists."""
+    exists.  The monomials are enumerated only after the odometer has been
+    counted to at most ``MAX_GENERIC_TERMS`` steps; a degree needing more
+    raises ValueError."""
     if not isinstance(field, PrimeField):
         raise ValueError("generic polynomials are drawn over prime fields")
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
+    w = as_weights(weights)
+    *head, _ = w.entries
+    if sum(1 for _ in islice(_odometer(head, degree), MAX_GENERIC_TERMS + 1)) > MAX_GENERIC_TERMS:
+        raise ValueError(
+            f"a generic member of degree {degree} over the weights {list(w)} "
+            f"needs more than {MAX_GENERIC_TERMS} monomial-enumeration steps"
+        )
     rng = random.Random(seed)
-    terms = {m: rng.randrange(1, field.p) for m in monomials_of_degree(weights, degree)}
-    return SparsePoly.from_terms(field, weights, terms, degree=degree)
+    terms = {m: rng.randrange(1, field.p) for m in monomials_of_degree(w, degree)}
+    return SparsePoly.from_terms(field, w, terms, degree=degree)
 
 
 def parse_poly(text: str, weights, field) -> SparsePoly:

@@ -82,6 +82,17 @@ class Weights:
         return list(self.entries)
 
 
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with ``values`` as its
+    fields in declaration order, built without ``__post_init__``.  Only for
+    internal callers whose values are already valid and normalized (sorted,
+    distinct stratum indices; a validated ``Weights``); public construction
+    keeps every check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def as_weights(w) -> Weights:
     """Coerce a Weights instance or any iterable of integers."""
     if isinstance(w, Weights):
@@ -327,6 +338,7 @@ def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -
     else:
         bound = len(entries) if max_size is None else min(max_size, len(entries))
         index_sets = _singular_index_sets(entries, range(1, bound + 1))
-    strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in index_sets]
+    # Both index-set sources yield sorted tuples of distinct in-range indices.
+    strata = [_trusted(Stratum, idx, gcd(*weights.at(idx))) for idx in index_sets]
     strata.sort(key=lambda s: (-s.dim, s.indices))
     return strata

@@ -1,5 +1,6 @@
 """Tests for the classification of weighted complete intersection families."""
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -31,9 +32,12 @@ from wcikit import (
     stratum_intersection,
 )
 from wcikit.analysis import (
+    DEGREE_FACTS_SIZE,
     MAX_RESIDUE_WORK,
+    PATTERN_CACHE_SIZE,
     REPRESENTABLE_CACHE_SIZE,
     _ambient,
+    _pattern,
     _representable,
 )
 from wcikit.cli import main
@@ -561,12 +565,16 @@ def small_box_specs():
     return specs
 
 
+def clear_classify_caches():
+    for cache in (_representable, _ambient, _pattern):
+        cache.cache_clear()
+
+
 class TestClassifyCaches:
     def test_report_does_not_depend_on_call_order(self):
         specs = small_box_specs()
         forward = [classify(spec).to_json() for spec in specs]
-        _representable.cache_clear()
-        _ambient.cache_clear()
+        clear_classify_caches()
         backward = [classify(spec).to_json() for spec in reversed(specs)]
         assert forward == backward[::-1]
         # Both the covering strata and the weak check's additions are exercised.
@@ -581,6 +589,34 @@ class TestClassifyCaches:
         assert info.maxsize == REPRESENTABLE_CACHE_SIZE
         assert info.currsize <= info.maxsize
 
+    def test_cold_shuffled_box_against_reference(self):
+        # Degree patterns first met in a random order, every cache cold.
+        specs = small_box_specs()
+        random.Random(16).shuffle(specs)
+        clear_classify_caches()
+        for spec in specs:
+            assert classify(spec).to_json() == reference_report_json(spec), spec.key()
+        assert _pattern.cache_info().hits > 0
+
+    def test_pattern_cache_and_degree_facts_stay_bounded(self):
+        # One point stratum per prime, so a degree's facts are its
+        # divisibility by 2, 3, 5, 7, 11 and 13: consecutive degree pairs
+        # make more patterns than the cache keeps.
+        clear_classify_caches()
+        spec_weights = Weights((1, 2, 3, 5, 7, 11, 13))
+        for d in range(1, 20_001):
+            classify(WCISpec(spec_weights, (d,)))
+            classify(WCISpec(spec_weights, (d, d + 1)))
+        info = _pattern.cache_info()
+        assert info.maxsize == PATTERN_CACHE_SIZE
+        assert info.currsize == info.maxsize < info.misses
+        for dim_x in (4, 5):
+            assert 0 < len(_ambient(spec_weights, dim_x)) <= DEGREE_FACTS_SIZE
+        # Past evictions and clears the reports are still right.
+        for degs in ((19_999,), (20_000, 20_001), (5,), (6, 7), (30_030, 30_031)):
+            spec = WCISpec(spec_weights, degs)
+            assert classify(spec).to_json() == reference_report_json(spec)
+
     def test_each_pair_decided_once(self, monkeypatch):
         # A miss reaches the module-level is_representable, so a wrapper
         # installed there counts one call per (degree, value-set) pair.
@@ -591,7 +627,7 @@ class TestClassifyCaches:
             return is_representable(d, values)
 
         monkeypatch.setattr("wcikit.analysis.is_representable", counted)
-        _representable.cache_clear()
+        clear_classify_caches()
         # Covering strata over the values (2, 4, 6) and (6,); the weak
         # candidates, of dimension 3, over (2, 4), (2, 6), (2, 4, 6), ...
         degree_tuples = ((4, 6), (6, 8), (4, 6), (3, 6), (3, 5), (3, 5))

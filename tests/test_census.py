@@ -173,6 +173,21 @@ class TestEnumerate:
         filtered = enumerate_specs(replace(last, require_non_linear_cone=True))
         assert all(s.weights.entries != (1, 1, 2) for s in filtered)
 
+    def test_trusted_specs_equal_validated_ones(self):
+        # enumerate_specs builds its specs without WCISpec's checks; each must
+        # equal, and hash like, the spec the public constructor validates.
+        for bounds in CONE_BOXES:
+            for spec in enumerate_specs(bounds):
+                public = WCISpec(tuple(spec.weights), list(spec.degrees))
+                assert spec == public and hash(spec) == hash(public), spec.key()
+                assert type(spec.degrees) is tuple and spec.codimension <= spec.weights.dim
+
+    def test_max_degree_capped_at_the_entry_limit(self):
+        box = TINY.to_json()
+        with pytest.raises(ValueError, match="max_degree .* exceeds the 2\\^63-1 limit"):
+            CensusBounds.from_json({**box, "max_degree": 2**63})
+        assert CensusBounds.from_json({**box, "max_degree": 2**63 - 1}).max_degree == 2**63 - 1
+
     def test_completeness_against_independent_counter(self):
         for bounds in [
             TINY,

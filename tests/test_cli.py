@@ -188,6 +188,10 @@ class TestProbe:
         assert {p for p, _ in expected.witnesses} == {3, 5, 7} and not expected.exhaustive
         assert data == expected.to_json()
 
+    def test_generic_member_beyond_term_bound_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "1,1", "--degrees", "1000001", "--primes", "3")
+        assert code == 2 and out == "" and "monomial-enumeration steps" in err
+
     def test_huge_exponents_finish_at_once(self, tmp_path):
         # Exponents are reduced mod p-1, so the power table has at most p
         # columns whatever the degree; with full exponents it had p*10^9

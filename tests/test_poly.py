@@ -24,6 +24,7 @@ from wcikit import (
     to_prime_field,
     weighted_degree,
 )
+from wcikit.poly import MAX_GENERIC_TERMS
 
 W112 = (1, 1, 2)
 
@@ -196,6 +197,25 @@ class TestGenericPoly:
     def test_requires_prime_field(self):
         with pytest.raises(ValueError):
             generic_poly((1, 1), 3, QQ, seed=0)
+
+    def test_generic_terms_bounded(self, monkeypatch):
+        # Over (1,1) the odometer takes d + 1 steps for degree d: the bound
+        # itself is allowed, one step more is refused before any monomial is
+        # enumerated.
+        f = generic_poly((1, 1), MAX_GENERIC_TERMS - 1, GF(3), seed=1)
+        assert f.num_terms == MAX_GENERIC_TERMS
+
+        def unreachable(*_):
+            raise AssertionError("monomials enumerated before the bound was checked")
+
+        monkeypatch.setattr("wcikit.poly.monomials_of_degree", unreachable)
+        for degree in (MAX_GENERIC_TERMS, 1_000_001, 2**63 - 1):
+            with pytest.raises(ValueError, match=f"more than {MAX_GENERIC_TERMS} monomial"):
+                generic_poly((1, 1), degree, GF(3), seed=1)
+        # The steps, not only the terms, are bounded: (1, 10^6) has one
+        # monomial of degree 10^6 but 10^6 + 1 odometer steps.
+        with pytest.raises(ValueError, match="monomial-enumeration steps"):
+            generic_poly((1, 10**6), 10**6, GF(3), seed=1)
 
     def test_count_matches_dp_at_stated_bounds(self):
         # Sum of weights <= 12, degree <= 12; enumeration counts are

@@ -241,6 +241,18 @@ class TestSingularStrata:
         with pytest.raises(ValueError, match="31 index subsets"):
             singular_strata(w, maximal_only=False)
 
+    def test_trusted_strata_equal_validated_ones(self):
+        # singular_strata builds its strata without re-validating the index
+        # sets; each must equal, and hash like, the publicly built stratum.
+        for w in union_cases()[:400]:
+            if not is_well_formed_space(w):
+                continue
+            for maximal_only in (True, False):
+                for st in singular_strata(w, maximal_only=maximal_only):
+                    public = Stratum(st.indices, st.delta)
+                    assert st == public and hash(st) == hash(public), (w, st)
+                    assert st == Stratum.of(w, st.indices)
+
     def test_all_subsets_max_size(self):
         got = singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=1)
         assert all(s.dim == 0 for s in got) and len(got) == 3
