@@ -21,7 +21,6 @@ from .weights import (
     Stratum,
     Weights,
     _singular_index_sets,
-    _trusted,
     as_weights,
     is_well_formed_space,
     singular_strata,
@@ -369,12 +368,11 @@ def _ambient(weights: Weights, dim_x: int) -> _DegreeFacts | None:
     )
     known = {st.indices for st, *_ in covering}
     weak: dict[tuple[int, ...], list[Stratum]] = {}
-    # Sorted, so _pattern's final sort merges sorted runs.  The index sets
-    # come out of combinations sorted and distinct.
+    # Sorted, so _pattern's final sort merges sorted runs.
     for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
         if idx not in known:
             values = weights.at(idx)
-            weak.setdefault(_values(values), []).append(_trusted(Stratum, idx, gcd(*values)))
+            weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
     return _DegreeFacts(covering, tuple((values, tuple(strata)) for values, strata in weak.items()))
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Generator, Iterator, Optional
 
 from .analysis import (
+    PATTERN_CACHE_SIZE,
     THEOREM_CONSISTENT,
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
     AnalysisReport,
@@ -28,7 +29,7 @@ from .analysis import (
 from .jsonout import dump
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
-from .weights import MAX_ENTRY, Stratum, Weights, _trusted, is_well_formed_space
+from .weights import MAX_ENTRY, Weights, is_well_formed_space
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class CensusBounds:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.max_degree > MAX_ENTRY:
-            # enumerate_specs builds specs unchecked from this range.
+            # Refused here, before any spec is built; WCISpec enforces it too.
             raise ValueError(f"max_degree {self.max_degree} exceeds the 2^63-1 limit")
         if not isinstance(self.min_dim, int) or isinstance(self.min_dim, bool) or self.min_dim < 0:
             raise ValueError(f"min_dim must be a non-negative integer, got {self.min_dim!r}")
@@ -166,11 +167,9 @@ def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
             # For degrees the sum bound k * max_degree never binds, so these
             # are _ascending_tuples(k, 1, max_degree, k * max_degree) in the
             # same order, less the tuples that meet a weight when cones are
-            # filtered, built lazily at C speed.  w is a validated Weights,
-            # the degrees are ints in [1, max_degree] and k <= dim, so the
-            # spec skips WCISpec's checks.
+            # filtered, built lazily at C speed.
             for degs in combinations_with_replacement(degrees, k):
-                yield _trusted(WCISpec, w, degs)
+                yield WCISpec(w, degs)
 
 
 def _linear_cone_count(bounds: CensusBounds) -> int:
@@ -234,13 +233,13 @@ def summary_sidecar_path(path) -> Path:
     return Path(str(path) + ".summary.json")
 
 
-# The compact encoding of an oracle verdict and of the cached line heads
+# The compact encoding of an oracle verdict and of the cached line fragments
 # below.  json.dumps with non-default separators would build a new encoder
 # per call; to_json builds fresh trees, so there are no cycles to check for.
 _encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
-# Distinct weight tuples, and distinct strata, whose line heads are kept.
-# The 54,566-record census box meets 247 weight tuples, in runs, and 146 strata.
+# Distinct weight tuples whose line heads are kept.  The 54,566-record
+# census box meets 247 weight tuples, in runs.
 LINE_HEAD_CACHE_SIZE = 1024
 
 _LITERAL = {True: "true", False: "false", None: "null"}
@@ -251,27 +250,29 @@ def _spec_head(weights: tuple[int, ...]) -> str:
     return '{"report":{"spec":{"weights":%s,"degrees":[' % _encode_line(list(weights))
 
 
-# Keyed on the fields, not the Stratum: equal strata of different ambients
-# are different objects, and their dataclass __eq__ and __hash__ run in Python.
-@lru_cache(maxsize=LINE_HEAD_CACHE_SIZE)
-def _stratum_head(indices: tuple[int, ...], delta: int) -> str:
-    return '{"stratum":%s,"cutting_degrees":[' % _encode_line(Stratum(indices, delta).to_json())
+# The encoded strata list of each strata tuple, keyed by id(): classify
+# shares one tuple among the reports of a degree pattern.  Each entry holds
+# its tuple, so no id is reused while its entry lives; the dict is cleared
+# when it holds PATTERN_CACHE_SIZE tuples.
+_strata_lines: dict[int, tuple[tuple, str]] = {}
+
+
+def _strata_line(strata: tuple) -> str:
+    entry = _strata_lines.get(id(strata))
+    if entry is None:
+        if len(_strata_lines) >= PATTERN_CACHE_SIZE:
+            _strata_lines.clear()
+        entry = _strata_lines[id(strata)] = (strata, _encode_line([si.to_json() for si in strata]))
+    return entry[1]
 
 
 def _record_line(record: CensusRecord) -> str:
     """The line ``_encode_line(record.to_json())`` and its newline, built
-    from cached per-weight-tuple and per-stratum heads without the dict tree.
-    Ints format as ``int.__repr__`` does, booleans and None through
-    ``_LITERAL``, and strings through the encoder's own ASCII escaping."""
+    from a cached head per weight tuple and an encoded strata list per strata
+    tuple, without the record's dict tree.  Ints format as ``int.__repr__``
+    does, booleans and None through ``_LITERAL``, and strings through the
+    encoder's own ASCII escaping."""
     r = record.report
-    strata = ",".join([
-        f'{_stratum_head(si.stratum.indices, si.stratum.delta)}'
-        f'{",".join(map(str, si.cutting_degrees))}],'
-        f'"dim_general":{si.dim_general},"contained":{_LITERAL[si.contained]},'
-        f'"dimca_codim":{"null" if si.dimca_codim is None else si.dimca_codim},'
-        f'"dimca_agrees":{_LITERAL[si.dimca_agrees]}}}'
-        for si in r.strata
-    ])
     self_int = r.canonical_self_intersection
     verdict = record.oracle_verdict
     return (
@@ -279,7 +280,7 @@ def _record_line(record: CensusRecord) -> str:
         f'"space_well_formed":{_LITERAL[r.space_well_formed]},"dim_X":{r.dim_X},'
         f'"linear_cone":{_LITERAL[r.linear_cone]},"amplitude":{r.amplitude},'
         f'"canonical_self_intersection":{{"num":{self_int.numerator},"den":{self_int.denominator}}},'
-        f'"strata":[{strata}],"sing_intersection_dim":{r.sing_intersection_dim},'
+        f'"strata":{_strata_line(r.strata)},"sing_intersection_dim":{r.sing_intersection_dim},'
         f'"well_formed":{_LITERAL[r.well_formed]},'
         f'"weakly_well_formed":{_LITERAL[r.weakly_well_formed]},'
         f'"theorem_status":{encode_basestring_ascii(r.theorem_status)},'
@@ -292,7 +293,8 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
     """Write each record of ``census`` (a ``run_census`` generator) as one
     compact JSON line as it arrives, then the summary sidecar; return the summary.
     Each line is the compact encoding of ``CensusRecord.to_json()``, byte for
-    byte, but is built from cached per-weight-tuple and per-stratum heads.
+    byte, but is built from cached per-weight-tuple heads and one encoded
+    strata list per degree pattern (``_record_line``).
 
     The output is opened before the first record is drawn, so an unwritable
     path is refused before any spec is classified.  On any exception,
@@ -324,7 +326,7 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
         try:
             with open(summary_path, "w", encoding="utf-8") as fh:
                 error = str(exc) or type(exc).__name__  # KeyboardInterrupt has no text
-                json.dump({"status": "aborted_partial_output", "error": error}, fh)
+                dump({"status": "aborted_partial_output", "error": error}, fh)
                 fh.write("\n")
         except OSError:
             pass

@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if code not in (0,) else code
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - invariant violations

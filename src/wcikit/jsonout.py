@@ -1,8 +1,8 @@
 """The one writer of wcikit's indented JSON documents.
 
 Every document the CLI prints or writes (the ``analyze``, ``wellform``,
-``strata``, ``witness`` and ``probe`` results and the census summary) goes
-through ``dump``.  It emits exactly what ``json.dump(obj, fh, indent=2)``
+``strata``, ``witness`` and ``probe`` results, the census summary and its
+partial-output marker) goes through ``dump``.  It emits exactly what ``json.dump(obj, fh, indent=2)``
 emits, in less than half the time on an ``analyze`` report with thousands of
 strata: when ``indent`` is set the stdlib never uses its C encoder, and its
 pure-Python one walks the document a value at a time.

@@ -360,7 +360,6 @@ def parse_poly(text: str, weights, field) -> SparsePoly:
     def parse_term():
         coeff = 1
         exps = [0] * n
-        saw_factor = False
         while True:
             kind, value, pos = peek()
             if kind == "int":
@@ -381,13 +380,10 @@ def parse_poly(text: str, weights, field) -> SparsePoly:
                 exps[value] += exp
             else:
                 raise ParseError("expected a variable or integer", pos)
-            saw_factor = True
             if peek()[0] == "*":
                 advance()
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", peek()[2])
         return coeff, tuple(exps)
 
     raw_terms = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
+from operator import eq, ge
 
 # Entries beyond this cap are rejected at construction; arithmetic stays exact.
 MAX_ENTRY = 2**63 - 1
@@ -82,17 +83,6 @@ class Weights:
         return list(self.entries)
 
 
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass ``cls`` with ``values`` as its
-    fields in declaration order, built without ``__post_init__``.  Only for
-    internal callers whose values are already valid and normalized (sorted,
-    distinct stratum indices; a validated ``Weights``); public construction
-    keeps every check."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
-
-
 def as_weights(w) -> Weights:
     """Coerce a Weights instance or any iterable of integers."""
     if isinstance(w, Weights):
@@ -112,14 +102,18 @@ class Stratum:
     delta: int
 
     def __post_init__(self):
-        idx = tuple(sorted(self.indices))
+        # A strictly ascending tuple is kept as it is; anything else is
+        # sorted, and then distinct exactly when it is strictly ascending.
+        idx = self.indices
+        if type(idx) is not tuple or any(map(ge, idx, idx[1:])):
+            idx = tuple(sorted(idx))
+            if any(map(eq, idx, idx[1:])):
+                raise ValueError("stratum indices must be distinct")
+            object.__setattr__(self, "indices", idx)
         if not idx:
             raise ValueError("a stratum needs at least one coordinate index")
-        if len(set(idx)) != len(idx):
-            raise ValueError("stratum indices must be distinct")
         if idx[0] < 0:
             raise ValueError("stratum indices must be non-negative")
-        object.__setattr__(self, "indices", idx)
         if not isinstance(self.delta, int) or self.delta < 1:
             raise ValueError(f"delta must be a positive integer, got {self.delta!r}")
 
@@ -338,7 +332,6 @@ def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -
     else:
         bound = len(entries) if max_size is None else min(max_size, len(entries))
         index_sets = _singular_index_sets(entries, range(1, bound + 1))
-    # Both index-set sources yield sorted tuples of distinct in-range indices.
-    strata = [_trusted(Stratum, idx, gcd(*weights.at(idx))) for idx in index_sets]
+    strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in index_sets]
     strata.sort(key=lambda s: (-s.dim, s.indices))
     return strata

@@ -91,6 +91,12 @@ class TestSpecType:
         with pytest.raises(ValueError):
             WCISpec((1, 1, 2), (0,))
 
+    def test_degree_past_the_entry_limit_refused(self):
+        assert WCISpec((1, 1), (2**63 - 1,)).degrees == (2**63 - 1,)
+        with pytest.raises(ValueError) as err:
+            WCISpec((1, 1), (2**63,))
+        assert str(err.value) == "degree 9223372036854775808 exceeds the 2^63-1 limit"
+
     def test_dimension_examples(self):
         assert S5.dimension == 2
         assert S3.dimension == 1

@@ -11,6 +11,7 @@ import wcikit.census
 from wcikit import (
     CensusBounds,
     ProbeBudget,
+    Stratum,
     WCISpec,
     classify,
     enumerate_specs,
@@ -23,6 +24,9 @@ from wcikit.analysis import (
     FLAG_DEGENERATE_CONTAINMENT,
     FLAG_DIMCA_MISMATCH,
     FLAG_NONINTEGRAL_SURFACE,
+    THEOREM_CONSISTENT,
+    THEOREM_IMPLIES_NOT_QUASISMOOTH,
+    StratumIntersection,
 )
 from wcikit.census import (
     CensusRecord,
@@ -174,8 +178,9 @@ class TestEnumerate:
         assert all(s.weights.entries != (1, 1, 2) for s in filtered)
 
     def test_trusted_specs_equal_validated_ones(self):
-        # enumerate_specs builds its specs without WCISpec's checks; each must
-        # equal, and hash like, the spec the public constructor validates.
+        # enumerate_specs builds its specs through WCISpec from a Weights and a
+        # degree tuple; each must equal, and hash like, the spec built from
+        # plain sequences.
         for bounds in CONE_BOXES:
             for spec in enumerate_specs(bounds):
                 public = WCISpec(tuple(spec.weights), list(spec.degrees))
@@ -272,6 +277,22 @@ class TestRunCensus:
         for rec in probed:
             assert rec.oracle_verdict.status in ("no_witness_found", "singular_witness")
 
+    def test_probe_without_a_usable_prime_leaves_the_verdict_null(self):
+        # At p = 2 only the records whose weights and degrees are all odd can
+        # be probed; the others keep a null verdict and are not counted.
+        bounds = CensusBounds(max_n=5, max_weight=2, max_weight_sum=8, max_k=2, max_degree=3,
+                              min_dim=3)
+        records, summary = drain(run_census(bounds, ProbeBudget(primes=(2,))))
+        applicable = [r for r in records if r.report.theorem_status in (
+            THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH)]
+        odd = {r.report.spec.key() for r in applicable
+               if all(v % 2 for v in (*r.report.spec.weights, *r.report.spec.degrees))}
+        unusable = [r for r in applicable if r.report.spec.key() not in odd]
+        assert unusable and all(r.oracle_verdict is None for r in unusable)
+        assert all(json.loads(_record_line(r))["oracle_verdict"] is None for r in unusable)
+        probed = {r.report.spec.key() for r in records if r.oracle_verdict is not None}
+        assert probed == odd and summary.probed == len(probed) > 0
+
     def test_probe_determinism(self):
         budget = ProbeBudget(primes=(5,), max_points=20_000)
         a = [r.to_json() for r in run_census(PROBED, budget)]
@@ -314,6 +335,33 @@ class TestRecordLine:
         for fact in ("linear_cone", "space_well_formed", "63-bit degree", "weak stratum",
                      "denominator 1", "negative amplitude", "witnesses"):
             assert {(fact, True), (fact, False)} <= seen, fact
+
+
+    def test_strata_lists_follow_their_tuples(self, monkeypatch):
+        # Records whose strata tuples are fresh objects, each made, written
+        # and dropped in turn (so ids recur), of the lengths other records'
+        # tuples have: a strata list found by anything but the tuple itself
+        # would be another record's.
+        box = CensusBounds(max_n=4, max_weight=4, max_weight_sum=10, max_k=2, max_degree=5)
+        reports = [rec.report for rec in drain(run_census(box))[0]]
+        by_length = {}
+        for r in reports:
+            by_length.setdefault(len(r.strata), []).append(r)
+        assert sum(len(rs) > 1 for rs in by_length.values()) >= 3
+        for rs in by_length.values():
+            for a, b in zip(rs, rs[1:] + rs[:1]):
+                rec = CensusRecord(replace(a, strata=tuple([*b.strata])))
+                assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", a.spec.key()
+        base = classify(WCISpec((1, 1, 2, 2, 2), (3, 4)))
+        for indices, delta in [((2, 3), 2), ((2, 4), 2), ((3, 4), 2), ((2, 3, 4), 2)]:
+            strata = (StratumIntersection(Stratum(indices, delta), (1,), len(indices) - 2, False),)
+            rec = CensusRecord(replace(base, strata=strata))
+            assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", indices
+        # A box classified with the strata lists cleared every two tuples.
+        monkeypatch.setattr(wcikit.census, "PATTERN_CACHE_SIZE", 2)
+        for rec in drain(run_census(box))[0]:
+            assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", rec.report.spec.key()
+            assert len(wcikit.census._strata_lines) <= 2
 
 
 class TestPersistence:

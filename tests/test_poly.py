@@ -76,6 +76,17 @@ class TestParse:
             parse_poly("x0 + ", W112, QQ)
         assert err.value.position == 5
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("x0 x1", "expected '+', '-', or end of input", 3),
+        ("x + x0", "variable needs a decimal index", 0),
+        ("x0 $", "unexpected character '$'", 3),
+    ])
+    def test_syntax_error_messages(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, W112, QQ)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
     def test_unknown_variable(self):
         with pytest.raises(ParseError) as err:
             parse_poly("x7", W112, QQ)

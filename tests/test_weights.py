@@ -83,6 +83,16 @@ class TestWeightsType:
     def test_dim(self):
         assert Weights((1, 1, 2)).dim == 2
 
+    @pytest.mark.parametrize("entries, message", [
+        ((), "need at least one weight"),
+        ((1, 1.5), "weight 1.5 is not an integer"),
+        ((1, True), "weight True is not an integer"),
+    ])
+    def test_refusal_messages(self, entries, message):
+        with pytest.raises(ValueError) as err:
+            Weights(entries)
+        assert str(err.value) == message
+
 
 class TestWellFormedSpace:
     def test_examples(self):
@@ -183,6 +193,34 @@ class TestStratum:
         with pytest.raises(ValueError):
             Stratum.of((1, 2, 3), (5,))
 
+    def test_normalizes_indices_to_an_ascending_tuple(self):
+        ascending = (0, 2, 5)
+        assert Stratum(ascending, 1).indices is ascending
+        assert Stratum([2, 0], 1).indices == (0, 2)
+        assert Stratum((5, 0, 2), 1).indices == ascending
+        assert Stratum([2, 0], 1) == Stratum((0, 2), 1)
+        assert type(Stratum([2, 0], 1).indices) is tuple
+
+    @pytest.mark.parametrize("indices, delta, message", [
+        ((), 2, "a stratum needs at least one coordinate index"),
+        ([], 2, "a stratum needs at least one coordinate index"),
+        ((1, 1, 2), 2, "stratum indices must be distinct"),
+        ((2, 1, 2), 2, "stratum indices must be distinct"),
+        ((-1, 2), 2, "stratum indices must be non-negative"),
+        ((2, -1), 2, "stratum indices must be non-negative"),
+        # Checked in this order: duplicates before a negative index, indices before delta.
+        ((-1, -1), 0, "stratum indices must be distinct"),
+        ((-1,), 0, "stratum indices must be non-negative"),
+        ((0, 1), 0, "delta must be a positive integer, got 0"),
+        ((0, 1), -2, "delta must be a positive integer, got -2"),
+        ((0, 1), 2.0, "delta must be a positive integer, got 2.0"),
+        ((0, 1), "2", "delta must be a positive integer, got '2'"),
+    ])
+    def test_refusal_messages(self, indices, delta, message):
+        with pytest.raises(ValueError) as err:
+            Stratum(indices, delta)
+        assert str(err.value) == message
+
     def test_json(self):
         assert Stratum.of((1, 1, 2), (2,)).to_json() == {"indices": [2], "delta": 2, "dim": 0}
 
@@ -242,8 +280,9 @@ class TestSingularStrata:
             singular_strata(w, maximal_only=False)
 
     def test_trusted_strata_equal_validated_ones(self):
-        # singular_strata builds its strata without re-validating the index
-        # sets; each must equal, and hash like, the publicly built stratum.
+        # singular_strata builds its strata from index sets that are already
+        # ascending tuples; each must equal, and hash like, the stratum built
+        # from the same fields and the one Stratum.of computes.
         for w in union_cases()[:400]:
             if not is_well_formed_space(w):
                 continue
