@@ -283,12 +283,17 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
     self-intersection number amplitude^dim * (prod degrees)/(prod weights) as
     an exact rational.  Both carry geometric meaning only for quasi-smooth
     well-formed families; the classification report flags the caveats."""
-    return _adjunction(spec.degrees, spec.weights.entries, spec.dimension)
+    amplitude, num, den = _adjunction(spec.degrees, spec.weights.entries, spec.dimension)
+    return amplitude, Fraction(num, den)
 
 
-def _adjunction(degrees, entries, dim: int) -> tuple[int, Fraction]:
+def _adjunction(degrees, entries, dim: int) -> tuple[int, int, int]:
+    """The amplitude, and the self-intersection's numerator and positive
+    denominator in lowest terms, as ``Fraction`` would hold them."""
     amplitude = sum(degrees) - sum(entries)
-    return amplitude, Fraction(amplitude**dim * prod(degrees), prod(entries))
+    num, den = amplitude**dim * prod(degrees), prod(entries)
+    g = gcd(num, den)
+    return amplitude, num // g, den // g
 
 
 # The (degree, value-set) pairs whose representability classify keeps.  A
@@ -422,6 +427,25 @@ def _pattern(weights: Weights, dim_x: int, facts: tuple[int, ...]):
     return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 
+def _keyed(spec: WCISpec) -> tuple[tuple, int, int, int]:
+    """A spec's key, its amplitude, and its canonical self-intersection as a
+    numerator and a positive denominator in lowest terms.
+
+    The key is the tuple of the degrees' facts in the ambient's table (None
+    for a non-well-formed ambient), whether the spec is a linear cone, and
+    whether it is a surface with a non-integral self-intersection.  Over one
+    ambient and codimension, every field of the ``classify`` report but the
+    spec and the adjunction data is a function of the key, so a caller that
+    classifies many specs of one ambient (the census) need classify only
+    the first spec of each key.  ``classify`` reads its facts from here, so
+    the two cannot drift apart."""
+    dim_x = spec.dimension
+    ambient = _ambient(spec.weights, dim_x)
+    facts = None if ambient is None else tuple(map(ambient.__getitem__, spec.degrees))
+    amplitude, num, den = _adjunction(spec.degrees, spec.weights.entries, dim_x)
+    return (facts, is_linear_cone(spec), dim_x == 2 and den != 1), amplitude, num, den
+
+
 def classify(spec: WCISpec) -> AnalysisReport:
     """Assemble the full report and the main-theorem consistency status.
 
@@ -441,27 +465,25 @@ def classify(spec: WCISpec) -> AnalysisReport:
     intersection dimension and the weak, degenerate and Dimca outcomes are
     computed once per (ambient, degree pattern) in a ``PATTERN_CACHE_SIZE``
     cache.  A call then adds what is specific to the record: the linear
-    cone, the adjunction data, the flags and the status.
+    cone and the adjunction data (from ``_keyed``), the flags and the
+    status.
     """
+    (facts, cone, nonintegral), amplitude, num, den = _keyed(spec)
     dim_x = spec.dimension
-    ambient = _ambient(spec.weights, dim_x)
-    space_well_formed = ambient is not None
+    space_well_formed = facts is not None
     if space_well_formed:
-        facts = tuple(map(ambient.__getitem__, spec.degrees))
         inters, sing_dim, weak_found, degenerate, mismatch = _pattern(spec.weights, dim_x, facts)
     else:
         inters, sing_dim, weak_found, degenerate, mismatch = (), -1, False, False, False
     well_formed = space_well_formed and dim_x - sing_dim >= 2
     weakly_well_formed = space_well_formed and not weak_found
-    cone = is_linear_cone(spec)
-    amplitude, self_int = _adjunction(spec.degrees, spec.weights.entries, dim_x)
 
     flags = []
     if degenerate:
         flags.append(FLAG_DEGENERATE_CONTAINMENT)
     if mismatch:
         flags.append(FLAG_DIMCA_MISMATCH)
-    if dim_x == 2 and self_int.denominator != 1:
+    if nonintegral:
         flags.append(FLAG_NONINTEGRAL_SURFACE)
 
     if dim_x < 3:
@@ -479,7 +501,7 @@ def classify(spec: WCISpec) -> AnalysisReport:
         dim_X=dim_x,
         linear_cone=cone,
         amplitude=amplitude,
-        canonical_self_intersection=self_int,
+        canonical_self_intersection=Fraction(num, den),
         strata=inters,
         sing_intersection_dim=sing_dim,
         well_formed=well_formed,

@@ -11,9 +11,7 @@ import json
 import os
 import zlib
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
 from typing import Generator, Iterator, Optional
@@ -24,6 +22,7 @@ from .analysis import (
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
     AnalysisReport,
     WCISpec,
+    _keyed,
     classify,
 )
 from .jsonout import dump
@@ -199,18 +198,34 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
     )
 
 
-def run_census(
-    bounds: CensusBounds, probe: Optional[ProbeBudget] = None
-) -> Generator[CensusRecord, None, CensusSummary]:
-    """Yield each spec's record in enumeration order as it is classified and,
-    with a budget, its theorem-applicable records spot-probed.  The summary,
-    tallied on the way, is the return value; the linear cones, which the
-    enumeration never builds, are counted in closed form at the end.
-    A probe can only certify non-quasi-smoothness, so it never contradicts a
-    record's theorem status; its verdict is stored with the report."""
+def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget]):
+    """The census engine: one row (spec, amplitude, the self-intersection's
+    numerator and denominator, entry, verdict) per spec of the box, in
+    enumeration order; the summary, tallied on the way, is the return value.
+
+    Over one ambient and codimension, a report depends on its spec only
+    through ``analysis._keyed``'s key and the adjunction data.  So the first
+    spec of each key is classified, and its entry (``_entry``: the report and
+    its line cut around the per-spec values) serves every later spec of the
+    key.  The entries are dropped when the ambient or the codimension changes
+    and when they number ``PATTERN_CACHE_SIZE``.  With a budget, the
+    theorem-applicable specs are spot-probed.  A probe can only certify
+    non-quasi-smoothness, so it never contradicts a record's theorem status.
+    The linear cones, which the enumeration never builds, are counted in
+    closed form at the end."""
     total = well_formed = weakly_only = neither = implies = probed = 0
+    entries: dict = {}
+    ambient = None
     for spec in enumerate_specs(bounds):
-        report = classify(spec)
+        key, amplitude, num, den = _keyed(spec)
+        here = (spec.weights, len(spec.degrees))
+        if here != ambient or len(entries) >= PATTERN_CACHE_SIZE:
+            ambient = here
+            entries.clear()
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = _entry(classify(spec))
+        report = entry[0]
         status = report.theorem_status
         verdict = None
         if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
@@ -221,7 +236,7 @@ def run_census(
         neither += not report.weakly_well_formed
         implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
         probed += verdict is not None
-        yield CensusRecord(report, verdict)
+        yield spec, amplitude, num, den, entry, verdict
     skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
     return CensusSummary(
         total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
@@ -229,80 +244,71 @@ def run_census(
     )
 
 
+def run_census(
+    bounds: CensusBounds, probe: Optional[ProbeBudget] = None
+) -> Generator[CensusRecord, None, CensusSummary]:
+    """Yield each spec's record, ``CensusRecord(classify(spec), verdict)``,
+    in enumeration order; with a budget, the verdict of each
+    theorem-applicable spec is a spot-probe over the first of the budget's
+    primes that divides none of its weights and degrees.  The summary,
+    tallied on the way, is the return value.  ``write_census`` writes the
+    same records from the same engine without building them."""
+    rows = _rows(bounds, probe)
+    while True:
+        try:
+            spec, _, _, _, _, verdict = next(rows)
+        except StopIteration as done:
+            return done.value
+        yield CensusRecord(classify(spec), verdict)
+
+
 def summary_sidecar_path(path) -> Path:
     return Path(str(path) + ".summary.json")
 
 
-# The compact encoding of an oracle verdict and of the cached line fragments
-# below.  json.dumps with non-default separators would build a new encoder
-# per call; to_json builds fresh trees, so there are no cycles to check for.
+# The compact encoding of a census record and of an oracle verdict.
+# json.dumps with non-default separators would build a new encoder per call;
+# to_json builds fresh trees, so there are no cycles to check for.
 _encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
-# Distinct weight tuples whose line heads are kept.  The 54,566-record
-# census box meets 247 weight tuples, in runs.
-LINE_HEAD_CACHE_SIZE = 1024
 
-_LITERAL = {True: "true", False: "false", None: "null"}
-
-
-@lru_cache(maxsize=LINE_HEAD_CACHE_SIZE)
-def _spec_head(weights: tuple[int, ...]) -> str:
-    return '{"report":{"spec":{"weights":%s,"degrees":[' % _encode_line(list(weights))
-
-
-# The encoded strata list of each strata tuple, keyed by id(): classify
-# shares one tuple among the reports of a degree pattern.  Each entry holds
-# its tuple, so no id is reused while its entry lives; the dict is cleared
-# when it holds PATTERN_CACHE_SIZE tuples.
-_strata_lines: dict[int, tuple[tuple, str]] = {}
+def _entry(report: AnalysisReport) -> tuple[AnalysisReport, str, str, str]:
+    """The report and the pieces of its census line around the values that
+    differ between the specs of one key: the lead, through
+    ``"degrees":[``; the middle, from the bracket that closes the degrees
+    through ``"amplitude":``; and the tail, from ``"strata":`` through
+    ``"oracle_verdict":``.  They are cut from the line's one encoding, where
+    each marker occurs once, in this order, before the verdict's ``null}``."""
+    line = _encode_line(CensusRecord(report).to_json())
+    lead = line.index('"degrees":[') + len('"degrees":[')
+    middle = line.index("]", lead)
+    amplitude = line.index('"amplitude":', middle) + len('"amplitude":')
+    tail = line.index('"strata":', amplitude)
+    return report, line[:lead], line[middle:amplitude], line[tail : -len("null}")]
 
 
-def _strata_line(strata: tuple) -> str:
-    entry = _strata_lines.get(id(strata))
-    if entry is None:
-        if len(_strata_lines) >= PATTERN_CACHE_SIZE:
-            _strata_lines.clear()
-        entry = _strata_lines[id(strata)] = (strata, _encode_line([si.to_json() for si in strata]))
-    return entry[1]
+def write_census(
+    bounds: CensusBounds, path, summary_path=None, probe: Optional[ProbeBudget] = None
+) -> CensusSummary:
+    """Census the box, writing each record as one compact JSON line as it is
+    classified (and, with a budget, probed), then the summary sidecar; return
+    the summary.
 
+    Each line is the compact encoding of the ``CensusRecord.to_json()`` that
+    ``run_census`` yields for the spec, byte for byte, but no record or
+    report is built for it: the line is the entry's lead, the degrees, the
+    entry's middle, the amplitude, the self-intersection, the entry's tail
+    and the verdict, where the entry (``_entry``) is encoded once per key.
 
-def _record_line(record: CensusRecord) -> str:
-    """The line ``_encode_line(record.to_json())`` and its newline, built
-    from a cached head per weight tuple and an encoded strata list per strata
-    tuple, without the record's dict tree.  Ints format as ``int.__repr__``
-    does, booleans and None through ``_LITERAL``, and strings through the
-    encoder's own ASCII escaping."""
-    r = record.report
-    self_int = r.canonical_self_intersection
-    verdict = record.oracle_verdict
-    return (
-        f'{_spec_head(r.spec.weights.entries)}{",".join(map(str, r.spec.degrees))}]}},'
-        f'"space_well_formed":{_LITERAL[r.space_well_formed]},"dim_X":{r.dim_X},'
-        f'"linear_cone":{_LITERAL[r.linear_cone]},"amplitude":{r.amplitude},'
-        f'"canonical_self_intersection":{{"num":{self_int.numerator},"den":{self_int.denominator}}},'
-        f'"strata":{_strata_line(r.strata)},"sing_intersection_dim":{r.sing_intersection_dim},'
-        f'"well_formed":{_LITERAL[r.well_formed]},'
-        f'"weakly_well_formed":{_LITERAL[r.weakly_well_formed]},'
-        f'"theorem_status":{encode_basestring_ascii(r.theorem_status)},'
-        f'"flags":[{",".join(map(encode_basestring_ascii, r.flags))}]}},'
-        f'"oracle_verdict":{"null" if verdict is None else _encode_line(verdict.to_json())}}}\n'
-    )
-
-
-def write_census(census, path, summary_path=None) -> CensusSummary:
-    """Write each record of ``census`` (a ``run_census`` generator) as one
-    compact JSON line as it arrives, then the summary sidecar; return the summary.
-    Each line is the compact encoding of ``CensusRecord.to_json()``, byte for
-    byte, but is built from cached per-weight-tuple heads and one encoded
-    strata list per degree pattern (``_record_line``).
-
-    The output is opened before the first record is drawn, so an unwritable
+    The output is opened before the first spec is drawn, so an unwritable
     path is refused before any spec is classified.  On any exception,
     KeyboardInterrupt included, the lines written so far stay and the sidecar
     is replaced by a partial-output marker (best effort) before it propagates.
     A sidecar that names the records' file is refused first, since writing it
     would replace the records; two names of one device (``/dev/null``) are not.
     """
+    if not isinstance(bounds, CensusBounds):
+        raise TypeError(f"write_census takes CensusBounds, got {type(bounds).__name__}")
     path = Path(path)
     summary_path = summary_sidecar_path(path) if summary_path is None else Path(summary_path)
     if path.exists() and summary_path.exists():
@@ -313,12 +319,19 @@ def write_census(census, path, summary_path=None) -> CensusSummary:
         raise ValueError(f"the summary {summary_path} and the records {path} are one file")
     try:
         with open(path, "w", encoding="utf-8") as fh:
+            write = fh.write
+            rows = _rows(bounds, probe)
             while True:
                 try:
-                    fh.write(_record_line(next(census)))
+                    spec, amplitude, num, den, (_, lead, middle, tail), verdict = next(rows)
                 except StopIteration as done:
                     summary = done.value
                     break
+                write(
+                    f'{lead}{",".join(map(str, spec.degrees))}{middle}{amplitude},'
+                    f'"canonical_self_intersection":{{"num":{num},"den":{den}}},{tail}'
+                    f'{"null" if verdict is None else _encode_line(verdict.to_json())}}}\n'
+                )
         with open(summary_path, "w", encoding="utf-8") as fh:
             dump(summary.to_json(), fh)
             fh.write("\n")

@@ -191,24 +191,25 @@ class QSVerdict:
 _CHUNK_TERMS = 1024
 
 
-def _compiled_eval(poly, powt, p):
+def _compiled_eval(poly, powt, column, p):
     """A function of a point (a tuple of residues mod p) returning the value of
-    the polynomial over GF(p), with powers read from ``powt[x][e]``.
+    the polynomial over GF(p), with x^e read from ``powt[x][column[e]]``.
 
-    The function is generated straight-line code, e.g. for 2*x0^2*x3 + 4*x3^4::
+    The function is generated straight-line code, e.g. for 2*x0^2*x3 + 4*x3^4
+    against a table of every exponent (``column[e] == e``)::
 
         def ev(pt):
             P0 = powt[pt[0]]
             P3 = powt[pt[3]]
             return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
 
-    Exponents are reduced by ``_reduced`` (over GF(3), x3^4 reads ``P3[2]``).
+    Exponents are reduced by ``_reduced`` (over GF(3), x3^4 reads x3^2).
     A polynomial above ``_CHUNK_TERMS`` terms is compiled in chunks and their
     values summed.
     """
     # The zero polynomial gets one empty chunk.
     parts = [
-        _straight_line(poly.terms[i : i + _CHUNK_TERMS], powt, p)
+        _straight_line(poly.terms[i : i + _CHUNK_TERMS], powt, column, p)
         for i in range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
     ]
     if len(parts) == 1:
@@ -216,8 +217,8 @@ def _compiled_eval(poly, powt, p):
     return lambda pt: sum(part(pt) for part in parts) % p
 
 
-def _straight_line(terms, powt, p):
-    total, used = _sum_source(terms, p)
+def _straight_line(terms, powt, column, p):
+    total, used = _sum_source(terms, column, p)
     return _generated(
         ["def ev(pt):", *(f"    P{i} = powt[pt[{i}]]" for i in used), f"    return {total}"],
         {"powt": powt},
@@ -231,10 +232,10 @@ def _reduced(e: int, p: int) -> int:
     return (e - 1) % (p - 1) + 1 if e else 0
 
 
-def _sum_source(terms, p):
+def _sum_source(terms, column, p):
     """The value of ``terms`` mod p as source text reading the power-table row
-    ``Pi`` of each coordinate i, and the sorted coordinates it reads.
-    Exponents are ``_reduced``.
+    ``Pi`` of each coordinate i, at the ``column`` of each ``_reduced``
+    exponent, and the sorted coordinates it reads.
 
     A sum over a tuple, unlike a chain of ``+``, compiles at any length.  Only
     ints reach the source: the coefficients must be ints (TypeError
@@ -245,7 +246,9 @@ def _sum_source(terms, p):
         if type(coeff) is not int:
             raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
         products.append(
-            "*".join([str(coeff), *(f"P{i}[{_reduced(e, p)}]" for i, e in enumerate(exps) if e)])
+            "*".join(
+                [str(coeff), *(f"P{i}[{column[_reduced(e, p)]}]" for i, e in enumerate(exps) if e)]
+            )
             + ","
         )
     used = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
@@ -267,15 +270,18 @@ def _generated(lines, namespace, name):
     return namespace[name]
 
 
-def _power_table(p, max_exp):
-    """``powt[x][e]`` = x^e mod p for the ``_reduced`` exponents, at most p-1."""
-    return [[pow(x, e, p) for e in range(min(max_exp, p - 1) + 1)] for x in range(p)]
+def _columns(polys, p) -> dict[int, int]:
+    """The power-table column of each nonzero ``_reduced`` exponent that the
+    polynomials use, in ascending order of the exponents."""
+    exponents = {e for f in polys for exps, _ in f.terms for e in exps if e}
+    return {e: j for j, e in enumerate(sorted({_reduced(e, p) for e in exponents}))}
 
 
-def _max_exponent(polys) -> int:
-    return max(
-        (e for f in polys for exps, _ in f.terms for e in exps), default=1
-    )
+def _power_table(p, column):
+    """``powt[x][column[e]]`` = x^e mod p: p rows of one entry per exponent
+    of ``column``, so a member of few distinct exponents gets a narrow table
+    over a large field."""
+    return [[pow(x, e, p) for e in column] for x in range(p)]
 
 
 def _orbit_slice(p: int, weights):
@@ -359,12 +365,15 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     runs of p points sharing a prefix, where a point costs a few products per
     equation; sampled draws rarely share one, and laziness spares them the
     coefficients of equations they never reach.  Exponents are ``_reduced``,
-    so the power table has at most p columns.  A further equation (F2 here)
+    and the power table has one column per distinct reduced exponent (at
+    most p - 1), which ``column`` maps; the example above reads a table of
+    every exponent, where ``T[e]`` is x_N^e.  A further equation (F2 here)
     and every matrix entry are ``_compiled_eval`` functions against the same
     power table.  The rank is computed only at the equations' common zeros.
     """
     entries = [g for row in matrix for g in row]
-    powt = _power_table(p, _max_exponent([*equations, *entries]))
+    column = _columns([*equations, *entries], p)
+    powt = _power_table(p, column)
     # matrix_rank is read from the module here, so a wrapper installed on it
     # sees every call.
     namespace = {"powt": powt, "field": field, "matrix_rank": matrix_rank}
@@ -373,7 +382,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     for j, f in enumerate(equations):
         budget -= len(f.terms)
         if budget < 0:
-            namespace[f"F{j}"] = _compiled_eval(f, powt, p)
+            namespace[f"F{j}"] = _compiled_eval(f, powt, column, p)
             body += [f"        if F{j}(pt):", "            continue"]
             continue
         if not f.terms:
@@ -387,21 +396,21 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
             body += ["        if Q != pt[:-1]:", "            Q = pt[:-1]"]
         groups = _by_last_exponent(f.terms, p)
         for e, terms in groups:
-            total, used = _sum_source(terms, p)
+            total, used = _sum_source(terms, column, p)
             body += [f"            P{i} = powt[pt[{i}]]" for i in used if i not in read]
             read.update(used)
             body.append(f"            C{j}_{e} = {total}")
         if groups[-1][0] and not read_last:
             read_last = True
             body.append("        T = powt[pt[-1]]")
-        value = " + ".join(f"C{j}_{e}*T[{e}]" if e else f"C{j}_0" for e, _ in groups)
+        value = " + ".join(f"C{j}_{e}*T[{column[e]}]" if e else f"C{j}_0" for e, _ in groups)
         if groups[-1][0]:
             value = f"({value}) % {p}"
         body += [f"        if {value}:", "            continue"]
     rows = []
     for r, row in enumerate(matrix):
         for c, g in enumerate(row):
-            namespace[f"M{r}_{c}"] = _compiled_eval(g, powt, p)
+            namespace[f"M{r}_{c}"] = _compiled_eval(g, powt, column, p)
         rows.append(f"[{', '.join(f'M{r}_{c}(pt)' for c in range(len(row)))}]")
     lines = [
         "def scan(points):",

@@ -11,7 +11,6 @@ import wcikit.census
 from wcikit import (
     CensusBounds,
     ProbeBudget,
-    Stratum,
     WCISpec,
     classify,
     enumerate_specs,
@@ -26,15 +25,12 @@ from wcikit.analysis import (
     FLAG_NONINTEGRAL_SURFACE,
     THEOREM_CONSISTENT,
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
-    StratumIntersection,
 )
 from wcikit.census import (
-    CensusRecord,
     _ambients,
     _ascending_tuples,
     _encode_line,
     _linear_cone_count,
-    _record_line,
 )
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
@@ -277,19 +273,24 @@ class TestRunCensus:
         for rec in probed:
             assert rec.oracle_verdict.status in ("no_witness_found", "singular_witness")
 
-    def test_probe_without_a_usable_prime_leaves_the_verdict_null(self):
+    def test_probe_without_a_usable_prime_leaves_the_verdict_null(self, tmp_path):
         # At p = 2 only the records whose weights and degrees are all odd can
         # be probed; the others keep a null verdict and are not counted.
         bounds = CensusBounds(max_n=5, max_weight=2, max_weight_sum=8, max_k=2, max_degree=3,
                               min_dim=3)
-        records, summary = drain(run_census(bounds, ProbeBudget(primes=(2,))))
+        budget = ProbeBudget(primes=(2,))
+        records, summary = drain(run_census(bounds, budget))
+        out = tmp_path / "c.jsonl"
+        assert write_census(bounds, out, probe=budget) == summary
+        written = [json.loads(line) for line in out.read_text().splitlines()]
         applicable = [r for r in records if r.report.theorem_status in (
             THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH)]
         odd = {r.report.spec.key() for r in applicable
                if all(v % 2 for v in (*r.report.spec.weights, *r.report.spec.degrees))}
         unusable = [r for r in applicable if r.report.spec.key() not in odd]
         assert unusable and all(r.oracle_verdict is None for r in unusable)
-        assert all(json.loads(_record_line(r))["oracle_verdict"] is None for r in unusable)
+        assert len(written) == len(records)
+        assert all(w["oracle_verdict"] is None for w, r in zip(written, records) if r in unusable)
         probed = {r.report.spec.key() for r in records if r.oracle_verdict is not None}
         assert probed == odd and summary.probed == len(probed) > 0
 
@@ -300,68 +301,78 @@ class TestRunCensus:
         assert a == b
 
 
-class TestRecordLine:
-    def test_matches_the_compact_encoding_of_to_json(self):
-        unfiltered = CensusBounds(max_n=6, max_weight=4, max_weight_sum=12, max_k=3, max_degree=6)
-        records = drain(run_census(unfiltered))[0]
-        assert len(records) == 6559
-        records += drain(run_census(PROBED, ProbeBudget(primes=(5,), max_points=20_000)))[0]
-        hand_built = [
-            ((1, 2, 2), (4,)),  # not a well-formed ambient
-            ((1, 6, 10, 15), (2**63 - 1,)),
-            ((1, 1, 1, 4, 6), (2,)),
-            ((1, 1, 2, 2, 2), (3, 4)),
-        ]
-        records += [CensusRecord(classify(WCISpec(w, d))) for w, d in hand_built]
-        seen = set()
-        for rec in records:
-            line = _record_line(rec)
-            assert line == _encode_line(rec.to_json()) + "\n", rec.report.spec.key()
+# The unfiltered box: linear cones, dims 0 to 5, 800 non-integral surfaces,
+# degenerate containments.
+UNFILTERED = CensusBounds(max_n=6, max_weight=4, max_weight_sum=12, max_k=3, max_degree=6)
+# A small box with a Dimca mismatch, (1,1,4,6)/(2).
+DIMCA = CensusBounds(max_n=3, max_weight=6, max_weight_sum=12, max_k=1, max_degree=2)
+
+
+def assert_lines_are_the_records(tmp_path) -> set:
+    """Census the unfiltered, probed and Dimca boxes with both sinks: every
+    line ``write_census`` writes is the compact encoding of the record
+    ``run_census`` yields for the same spec, and every record's report is
+    ``classify`` of its spec.  Returns the facts the records covered."""
+    seen = set()
+    for bounds, budget, count in [
+        (UNFILTERED, None, 6559),
+        (PROBED, ProbeBudget(primes=(5,), max_points=20_000), 38),
+        (DIMCA, None, 94),
+    ]:
+        records, summary = drain(run_census(bounds, budget))
+        out = tmp_path / "c.jsonl"
+        assert write_census(bounds, out, probe=budget) == summary
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == len(records) == summary.total == count
+        for line, rec in zip(lines, records):
             r = rec.report
+            assert line == _encode_line(rec.to_json()) + "\n", r.spec.key()
+            assert r == classify(r.spec), r.spec.key()
             seen.add(("dim", r.dim_X))
             seen.update(("flag", flag) for flag in r.flags)
             seen.add(("linear_cone", r.linear_cone))
-            seen.add(("space_well_formed", r.space_well_formed))
-            seen.add(("63-bit degree", max(r.spec.degrees) > 2**62))
             seen.add(("weak stratum", any(si.dimca_codim is None for si in r.strata)))
             seen.add(("denominator 1", r.canonical_self_intersection.denominator == 1))
             seen.add(("negative amplitude", r.amplitude < 0))
             seen.add(("witnesses", bool(rec.oracle_verdict and rec.oracle_verdict.witnesses)))
+    return seen
+
+
+class TestCensusLines:
+    """``write_census`` writes each line from its key's entry, without the
+    record; ``run_census`` builds the records.  A census box enumerates
+    well-formed ambients and degrees up to ``max_degree`` only, so a
+    non-well-formed ambient and a 63-bit degree are out of its reach; the
+    analysis tests cover their reports."""
+
+    def test_lines_are_the_compact_encoding_of_run_census_records(self, tmp_path):
+        seen = assert_lines_are_the_records(tmp_path)
         assert seen >= {("dim", d) for d in range(6)}
         assert seen >= {
             ("flag", FLAG_DEGENERATE_CONTAINMENT), ("flag", FLAG_DIMCA_MISMATCH),
             ("flag", FLAG_NONINTEGRAL_SURFACE),
         }
-        for fact in ("linear_cone", "space_well_formed", "63-bit degree", "weak stratum",
-                     "denominator 1", "negative amplitude", "witnesses"):
+        for fact in ("linear_cone", "weak stratum", "denominator 1", "negative amplitude",
+                     "witnesses"):
             assert {(fact, True), (fact, False)} <= seen, fact
 
+    def test_lines_with_the_entries_dropped_every_two_keys(self, tmp_path, monkeypatch):
+        classified = []
+        real = wcikit.census.classify
 
-    def test_strata_lists_follow_their_tuples(self, monkeypatch):
-        # Records whose strata tuples are fresh objects, each made, written
-        # and dropped in turn (so ids recur), of the lengths other records'
-        # tuples have: a strata list found by anything but the tuple itself
-        # would be another record's.
-        box = CensusBounds(max_n=4, max_weight=4, max_weight_sum=10, max_k=2, max_degree=5)
-        reports = [rec.report for rec in drain(run_census(box))[0]]
-        by_length = {}
-        for r in reports:
-            by_length.setdefault(len(r.strata), []).append(r)
-        assert sum(len(rs) > 1 for rs in by_length.values()) >= 3
-        for rs in by_length.values():
-            for a, b in zip(rs, rs[1:] + rs[:1]):
-                rec = CensusRecord(replace(a, strata=tuple([*b.strata])))
-                assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", a.spec.key()
-        base = classify(WCISpec((1, 1, 2, 2, 2), (3, 4)))
-        for indices, delta in [((2, 3), 2), ((2, 4), 2), ((3, 4), 2), ((2, 3, 4), 2)]:
-            strata = (StratumIntersection(Stratum(indices, delta), (1,), len(indices) - 2, False),)
-            rec = CensusRecord(replace(base, strata=strata))
-            assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", indices
-        # A box classified with the strata lists cleared every two tuples.
+        def counting(spec):
+            classified.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(wcikit.census, "classify", counting)
+        # One classification per key: the box's 6,559 specs have 3,286.
+        write_census(UNFILTERED, tmp_path / "c.jsonl")
+        assert len(classified) == 3286
         monkeypatch.setattr(wcikit.census, "PATTERN_CACHE_SIZE", 2)
-        for rec in drain(run_census(box))[0]:
-            assert _record_line(rec) == _encode_line(rec.to_json()) + "\n", rec.report.spec.key()
-            assert len(wcikit.census._strata_lines) <= 2
+        classified.clear()
+        write_census(UNFILTERED, tmp_path / "c.jsonl")
+        assert len(classified) > 5000
+        assert_lines_are_the_records(tmp_path)
 
 
 class TestPersistence:
@@ -370,13 +381,13 @@ class TestPersistence:
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
             out = tmp_path / name
-            write_census(run_census(bounds), out)
+            write_census(bounds, out)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_record_lines_parse_and_schema(self, tmp_path):
         out = tmp_path / "c.jsonl"
-        summary = write_census(run_census(TINY), out)
+        summary = write_census(TINY, out)
         assert summary == drain(run_census(TINY))[1]
         lines = out.read_text().splitlines()
         assert len(lines) == summary.total
@@ -386,20 +397,32 @@ class TestPersistence:
         sidecar = json.loads((tmp_path / "c.jsonl.summary.json").read_text())
         assert sidecar["total"] == summary.total
 
+    def test_refuses_a_record_stream_before_opening_the_output(self, tmp_path):
+        # write_census takes the bounds; a run_census generator, which it
+        # took before, is refused before the output is opened.
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(TypeError, match="CensusBounds"):
+            write_census(run_census(TINY), out)
+        assert not out.exists()
+
     def test_io_failure_propagates(self, tmp_path):
         with pytest.raises(OSError):
-            write_census(run_census(TINY), tmp_path / "missing" / "c.jsonl")
+            write_census(TINY, tmp_path / "missing" / "c.jsonl")
 
-    def test_interrupt_leaves_partial_jsonl_and_marker(self, tmp_path):
-        def interrupted():
-            yield from drain(run_census(TINY))[0][:3]
+    def test_interrupt_leaves_partial_jsonl_and_marker(self, tmp_path, monkeypatch):
+        real = wcikit.census.enumerate_specs
+
+        def interrupted(bounds):
+            yield from list(real(bounds))[:3]
             raise KeyboardInterrupt
+
+        monkeypatch.setattr(wcikit.census, "enumerate_specs", interrupted)
 
         out = tmp_path / "c.jsonl"
         sidecar = tmp_path / "c.jsonl.summary.json"
         sidecar.write_text('{"total": 6}\n')
         with pytest.raises(KeyboardInterrupt):
-            write_census(interrupted(), out)
+            write_census(TINY, out)
         assert len(out.read_text().splitlines()) == 3
         assert json.loads(sidecar.read_text()) == {
             "status": "aborted_partial_output", "error": "KeyboardInterrupt",
@@ -413,7 +436,7 @@ class TestPersistence:
         out = tmp_path / "c.jsonl"
         tracemalloc.start()
         try:
-            summary = write_census(run_census(bounds), out)
+            summary = write_census(bounds, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

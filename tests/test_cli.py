@@ -10,6 +10,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import wcikit
 import wcikit.census
 from wcikit.analysis import WCISpec, classify
@@ -193,10 +195,10 @@ class TestProbe:
         assert code == 2 and out == "" and "monomial-enumeration steps" in err
 
     def test_huge_exponents_finish_at_once(self, tmp_path):
-        # Exponents are reduced mod p-1, so the power table has at most p
-        # columns whatever the degree; with full exponents it had p*10^9
-        # entries.  A child process under a 1 GB address-space limit fails
-        # fast instead if that comes back.
+        # Exponents are reduced mod p-1, so the power table has one column
+        # per distinct reduced exponent whatever the degree; with full
+        # exponents it had p*10^9 entries.  A child process under a 1 GB
+        # address-space limit fails fast instead if that comes back.
         point = {3: [[1, 0], [2, 0]], 5: [[t, 0] for t in range(1, 5)]}
         for poly, expected in (
             ("x0^1000000001 + x1^1000000001", {3: [], 5: []}),
@@ -413,7 +415,7 @@ class TestCensus:
         def no_census(*args, **kwargs):
             raise AssertionError("the census ran")
 
-        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        monkeypatch.setattr("wcikit.census.enumerate_specs", no_census)
         for primes in ("0", "1", "4", "5,4"):
             code, _, err = run_cli(
                 capsys, "census", "--max-n", "5", "--max-weight", "2",
@@ -426,7 +428,7 @@ class TestCensus:
         def no_census(*args, **kwargs):
             raise AssertionError("the census ran")
 
-        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        monkeypatch.setattr("wcikit.census.enumerate_specs", no_census)
         for points in ("0", "-5"):
             code, _, err = run_cli(
                 capsys, "census", "--max-n", "5", "--max-weight", "2",
@@ -439,7 +441,7 @@ class TestCensus:
         def no_census(*args, **kwargs):
             raise AssertionError("the census ran")
 
-        monkeypatch.setattr("wcikit.cli.run_census", no_census)
+        monkeypatch.setattr("wcikit.census.enumerate_specs", no_census)
         bounds = ("--max-n", "2", "--max-weight", "2", "--max-weight-sum", "4",
                   "--max-k", "1", "--max-degree", "2")
         for output in (os.devnull, str(tmp_path)):
@@ -605,3 +607,50 @@ class TestHarness:
         assert peak < len(expected) / 4, (peak, len(expected))
         _emit(argparse.Namespace(), obj)
         assert capsys.readouterr().out == expected
+
+
+def _limited():
+    """In the child only: 1 GB of address space and 20 s of CPU."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+
+# Inputs at the validators' boundaries, one row per subcommand and bound:
+# (id, argv with {dir} for the test's directory, file contents by name, the
+# exit code).  Every accepted input finishes, every refused one exits 2.
+CATALOGUE = [
+    ("analyze-63-bit-degree", ["analyze", "1,6,10,15", "--degrees", str(2**63 - 1)], {}, 0),
+    ("analyze-degree-1000001", ["analyze", "1,2,3,5,7", "--degrees", "1000001"], {}, 0),
+    ("probe-exponent-10^9",
+     ["probe", "1,1", "--degrees", "1000000001", "--poly-file", "{dir}/f.txt", "--primes", "3,5"],
+     {"f.txt": "x0*x1^1000000000\n"}, 0),
+    ("probe-generic-degree-1000001", ["probe", "1,1", "--degrees", "1000001", "--primes", "3"],
+     {}, 2),
+    ("probe-largest-prime-degree-1000",
+     ["probe", "1,1", "--degrees", "1000", "--primes", "65521", "--poly-file", "{dir}/f.txt"],
+     {"f.txt": "x0^1000 + x1^1000\n"}, 0),
+    ("strata-all-41-weights", ["strata", "1,1," + ",".join(["2"] * 39), "--all"], {}, 2),
+    ("census-max-degree-2^63",
+     ["census", "--config", "{dir}/c.json", "--output", "{dir}/c.jsonl"],
+     {"c.json": json.dumps({"max_n": 2, "max_weight": 2, "max_weight_sum": 4, "max_k": 1,
+                            "max_degree": 2**63})}, 2),
+]
+
+
+class TestTerminationCatalogue:
+    """Each row runs in a child process under its own address-space and CPU
+    limits, one after another; a kill (a negative return code) or an
+    internal error fails the row."""
+
+    @pytest.mark.parametrize("argv, files, expected",
+                             [row[1:] for row in CATALOGUE], ids=[row[0] for row in CATALOGUE])
+    def test_row_finishes_or_is_refused(self, tmp_path, argv, files, expected):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        child = subprocess.run(
+            [sys.executable, "-m", "wcikit", *(a.format(dir=tmp_path) for a in argv)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(wcikit.__file__).parents[1])},
+            preexec_fn=_limited,
+        )
+        assert child.returncode == expected, (child.returncode, child.stderr[-2000:])

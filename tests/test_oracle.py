@@ -632,8 +632,10 @@ class TestExhaustiveBySliceSize:
 
 
 def compiled(poly, p):
-    powt = power_table(p, max((e for exps, _ in poly.terms for e in exps), default=1))
-    return _compiled_eval(poly, powt, p)
+    # The reference table has a column for every exponent up to the largest,
+    # so each exponent is its own column.
+    max_exp = max((e for exps, _ in poly.terms for e in exps), default=1)
+    return _compiled_eval(poly, power_table(p, max_exp), range(max_exp + 1), p)
 
 
 def agrees_with_evaluate(poly, p, draws=300, seed=0):
@@ -686,7 +688,7 @@ class TestCompiledEval:
         assert poly.num_terms >= 10_000
         tracemalloc.start()
         try:
-            ev = _compiled_eval(poly, powt, 7)
+            ev = _compiled_eval(poly, powt, range(8), 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -863,8 +865,15 @@ class TestGroupedScan:
                 r = oracle._reduced(e, p)
                 assert r <= p - 1 and (r == 0) == (e == 0)
                 assert all(pow(x, r, p) == pow(x, e, p) for x in range(p)), (p, e)
-            assert [len(row) for row in oracle._power_table(p, 10**5)] == [p] * p
-            assert len(oracle._power_table(p, 1)[0]) == 2
+            # One column per distinct nonzero reduced exponent, at most p - 1,
+            # however large the exponents.
+            every = system([" + ".join(f"x0^{e}*x1^{3 * p - e}" for e in range(1, 3 * p))],
+                           (1, 1), p)
+            column = oracle._columns(every.polys, p)
+            assert column == {e: e - 1 for e in range(1, p)}
+            assert [len(row) for row in oracle._power_table(p, column)] == [p - 1] * p
+            huge = system(["x0^100000 + x1^100000"], (1, 1), p)
+            assert len(oracle._columns(huge.polys, p)) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_orbit_slice_in_runs_of_p(self, p):
