@@ -283,17 +283,10 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
     self-intersection number amplitude^dim * (prod degrees)/(prod weights) as
     an exact rational.  Both carry geometric meaning only for quasi-smooth
     well-formed families; the classification report flags the caveats."""
-    amplitude, num, den = _adjunction(spec.degrees, spec.weights.entries, spec.dimension)
+    entries = spec.weights.entries
+    records = _degree_records(None, entries, spec.degrees)
+    _, _, amplitude, num, den = _analysis(records, spec.dimension, sum(entries), prod(entries))
     return amplitude, Fraction(num, den)
-
-
-def _adjunction(degrees, entries, dim: int) -> tuple[int, int, int]:
-    """The amplitude, and the self-intersection's numerator and positive
-    denominator in lowest terms, as ``Fraction`` would hold them."""
-    amplitude = sum(degrees) - sum(entries)
-    num, den = amplitude**dim * prod(degrees), prod(entries)
-    g = gcd(num, den)
-    return amplitude, num // g, den // g
 
 
 # The (degree, value-set) pairs whose representability classify keeps.  A
@@ -427,23 +420,36 @@ def _pattern(weights: Weights, dim_x: int, facts: tuple[int, ...]):
     return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 
-def _keyed(spec: WCISpec) -> tuple[tuple, int, int, int]:
-    """A spec's key, its amplitude, and its canonical self-intersection as a
-    numerator and a positive denominator in lowest terms.
+def _degree_records(ambient, entries, degrees) -> list[tuple[int, int | None, bool]]:
+    """Each degree's record over one ambient: the degree, its facts in the
+    ambient's table (None over a non-well-formed ambient, which keeps none)
+    and whether it equals one of the weight ``entries``."""
+    if ambient is None:
+        return [(d, None, d in entries) for d in degrees]
+    return [(d, ambient[d], d in entries) for d in degrees]
 
-    The key is the tuple of the degrees' facts in the ambient's table (None
-    for a non-well-formed ambient), whether the spec is a linear cone, and
-    whether it is a surface with a non-integral self-intersection.  Over one
-    ambient and codimension, every field of the ``classify`` report but the
-    spec and the adjunction data is a function of the key, so a caller that
+
+def _analysis(records, dim_x: int, weight_sum: int, weight_prod: int):
+    """The degrees, key, amplitude and canonical self-intersection (a
+    numerator and a positive denominator in lowest terms, as ``Fraction``
+    would hold them) of the family whose degrees have the given
+    ``_degree_records``, over weights of the given sum and product, of
+    dimension ``dim_x``.
+
+    The key is the tuple of the degrees' facts, whether the family is a
+    linear cone (some degree equals a weight), and whether it is a surface
+    with a non-integral self-intersection.  Over one ambient and
+    codimension, every field of the ``classify`` report but the spec and
+    the adjunction data is a function of the key, so a caller that
     classifies many specs of one ambient (the census) need classify only
-    the first spec of each key.  ``classify`` reads its facts from here, so
+    the first spec of each key.  ``classify`` keys its spec here too, so
     the two cannot drift apart."""
-    dim_x = spec.dimension
-    ambient = _ambient(spec.weights, dim_x)
-    facts = None if ambient is None else tuple(map(ambient.__getitem__, spec.degrees))
-    amplitude, num, den = _adjunction(spec.degrees, spec.weights.entries, dim_x)
-    return (facts, is_linear_cone(spec), dim_x == 2 and den != 1), amplitude, num, den
+    degrees, facts, cones = zip(*records)
+    amplitude = sum(degrees) - weight_sum
+    num = amplitude**dim_x * prod(degrees)
+    g = gcd(num, weight_prod)
+    den = weight_prod // g
+    return degrees, (facts, True in cones, dim_x == 2 and den != 1), amplitude, num // g, den
 
 
 def classify(spec: WCISpec) -> AnalysisReport:
@@ -465,12 +471,17 @@ def classify(spec: WCISpec) -> AnalysisReport:
     intersection dimension and the weak, degenerate and Dimca outcomes are
     computed once per (ambient, degree pattern) in a ``PATTERN_CACHE_SIZE``
     cache.  A call then adds what is specific to the record: the linear
-    cone and the adjunction data (from ``_keyed``), the flags and the
-    status.
+    cone and the adjunction data (from ``_analysis``, as the census's), the
+    flags and the status.
     """
-    (facts, cone, nonintegral), amplitude, num, den = _keyed(spec)
     dim_x = spec.dimension
-    space_well_formed = facts is not None
+    entries = spec.weights.entries
+    ambient = _ambient(spec.weights, dim_x)
+    records = _degree_records(ambient, entries, spec.degrees)
+    _, (facts, cone, nonintegral), amplitude, num, den = _analysis(
+        records, dim_x, sum(entries), prod(entries)
+    )
+    space_well_formed = ambient is not None
     if space_well_formed:
         inters, sing_dim, weak_found, degenerate, mismatch = _pattern(spec.weights, dim_x, facts)
     else:

@@ -2,7 +2,11 @@
 
 Specs are enumerated with ascending weights and degrees (one representative
 per permutation class), ambient weights pre-filtered to well-formed tuples,
-and records streamed as deterministic JSONL with a JSON summary sidecar.
+in blocks of one ambient and codimension: ``enumerate_specs`` yields
+``(weights, k, degrees)``, whose specs are the ascending k-tuples of the
+degrees.  The census keys each spec from its block's per-degree records,
+builds and classifies one spec per key, and streams the records as
+deterministic JSONL with a JSON summary sidecar.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 from pathlib import Path
 from typing import Generator, Iterator, Optional
 
@@ -22,7 +26,9 @@ from .analysis import (
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
     AnalysisReport,
     WCISpec,
-    _keyed,
+    _ambient,
+    _analysis,
+    _degree_records,
     classify,
 )
 from .jsonout import dump
@@ -151,24 +157,23 @@ def _ambients(bounds: CensusBounds):
                 yield w, k_top
 
 
-def enumerate_specs(bounds: CensusBounds) -> Iterator[WCISpec]:
-    """Every spec in the box exactly once, in deterministic order: ambient
-    dimension ascending, then weights lexicographically, then codimension,
-    then degrees.  Weights ascend and must be well formed; degrees ascend.
-    When the bounds require it, linear cones are never built: the degrees
-    are drawn from the degree range without the weight tuple's values."""
+def enumerate_specs(bounds: CensusBounds) -> Iterator[tuple[Weights, int, tuple[int, ...]]]:
+    """Every block of the box exactly once, in deterministic order: one
+    ``(weights, k, degrees)`` per ambient and codimension, ambient dimension
+    ascending, then weights lexicographically, then codimension.  Weights
+    ascend and are well formed; ``degrees`` are the allowed degree values,
+    ascending, and the block's specs are ``combinations_with_replacement(
+    degrees, k)``, in that order.  When the bounds require it, linear cones
+    are never built: the degrees are drawn from the degree range without
+    the weight tuple's values."""
     degree_range = range(1, bounds.max_degree + 1)
     for w, k_top in _ambients(bounds):
-        degrees = degree_range
         if bounds.require_non_linear_cone:
-            degrees = [d for d in degree_range if d not in w.entries]
+            degrees = tuple(d for d in degree_range if d not in w.entries)
+        else:
+            degrees = tuple(degree_range)
         for k in range(1, k_top + 1):
-            # For degrees the sum bound k * max_degree never binds, so these
-            # are _ascending_tuples(k, 1, max_degree, k * max_degree) in the
-            # same order, less the tuples that meet a weight when cones are
-            # filtered, built lazily at C speed.
-            for degs in combinations_with_replacement(degrees, k):
-                yield WCISpec(w, degs)
+            yield w, k, degrees
 
 
 def _linear_cone_count(bounds: CensusBounds) -> int:
@@ -199,44 +204,51 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
 
 
 def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget]):
-    """The census engine: one row (spec, amplitude, the self-intersection's
-    numerator and denominator, entry, verdict) per spec of the box, in
-    enumeration order; the summary, tallied on the way, is the return value.
+    """The census engine: one row (weights, degrees, amplitude, the
+    self-intersection's numerator and denominator, entry, verdict) per spec
+    of the box, in enumeration order; the summary, tallied on the way, is
+    the return value.
 
-    Over one ambient and codimension, a report depends on its spec only
-    through ``analysis._keyed``'s key and the adjunction data.  So the first
-    spec of each key is classified, and its entry (``_entry``: the report and
-    its line cut around the per-spec values) serves every later spec of the
-    key.  The entries are dropped when the ambient or the codimension changes
-    and when they number ``PATTERN_CACHE_SIZE``.  With a budget, the
-    theorem-applicable specs are spot-probed.  A probe can only certify
-    non-quasi-smoothness, so it never contradicts a record's theorem status.
-    The linear cones, which the enumeration never builds, are counted in
-    closed form at the end."""
+    The specs of a block of ``enumerate_specs`` share the ambient and the
+    codimension, so each allowed degree's record (``analysis._degree_records``:
+    its facts, whether it equals a weight) is looked up once per block, and
+    each spec's key and adjunction data come from its records by
+    ``analysis._analysis``, as ``classify``'s do; no spec is built for it.
+    Over one block, a report depends on its spec only through the key and
+    the adjunction data.  So the first spec of each key is built and
+    classified, and its entry (``_entry``: the report and its line cut
+    around the per-spec values) serves every later spec of the key.  The
+    entries are dropped at each block and when they number
+    ``PATTERN_CACHE_SIZE``.  With a budget, the theorem-applicable specs are
+    built and spot-probed.  A probe can only certify non-quasi-smoothness, so
+    it never contradicts a record's theorem status.  The linear cones, which
+    the enumeration never builds, are counted in closed form at the end."""
     total = well_formed = weakly_only = neither = implies = probed = 0
-    entries: dict = {}
-    ambient = None
-    for spec in enumerate_specs(bounds):
-        key, amplitude, num, den = _keyed(spec)
-        here = (spec.weights, len(spec.degrees))
-        if here != ambient or len(entries) >= PATTERN_CACHE_SIZE:
-            ambient = here
-            entries.clear()
-        entry = entries.get(key)
-        if entry is None:
-            entry = entries[key] = _entry(classify(spec))
-        report = entry[0]
-        status = report.theorem_status
-        verdict = None
-        if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
-            verdict = _spot_probe(spec, probe)
-        total += 1
-        well_formed += report.well_formed
-        weakly_only += report.weakly_well_formed and not report.well_formed
-        neither += not report.weakly_well_formed
-        implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
-        probed += verdict is not None
-        yield spec, amplitude, num, den, entry, verdict
+    for w, k, degrees in enumerate_specs(bounds):
+        values = w.entries
+        dim_x = w.dim - k
+        records = _degree_records(_ambient(w, dim_x), values, degrees)
+        weight_sum, weight_prod = sum(values), prod(values)
+        entries: dict = {}
+        for chosen in combinations_with_replacement(records, k):
+            degs, key, amplitude, num, den = _analysis(chosen, dim_x, weight_sum, weight_prod)
+            if len(entries) >= PATTERN_CACHE_SIZE:
+                entries.clear()
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = _entry(classify(WCISpec(w, degs)))
+            report = entry[0]
+            status = report.theorem_status
+            verdict = None
+            if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
+                verdict = _spot_probe(WCISpec(w, degs), probe)
+            total += 1
+            well_formed += report.well_formed
+            weakly_only += report.weakly_well_formed and not report.well_formed
+            neither += not report.weakly_well_formed
+            implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
+            probed += verdict is not None
+            yield w, degs, amplitude, num, den, entry, verdict
     skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
     return CensusSummary(
         total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
@@ -256,10 +268,10 @@ def run_census(
     rows = _rows(bounds, probe)
     while True:
         try:
-            spec, _, _, _, _, verdict = next(rows)
+            w, degs, _, _, _, _, verdict = next(rows)
         except StopIteration as done:
             return done.value
-        yield CensusRecord(classify(spec), verdict)
+        yield CensusRecord(classify(WCISpec(w, degs)), verdict)
 
 
 def summary_sidecar_path(path) -> Path:
@@ -323,12 +335,12 @@ def write_census(
             rows = _rows(bounds, probe)
             while True:
                 try:
-                    spec, amplitude, num, den, (_, lead, middle, tail), verdict = next(rows)
+                    _, degs, amplitude, num, den, (_, lead, middle, tail), verdict = next(rows)
                 except StopIteration as done:
                     summary = done.value
                     break
                 write(
-                    f'{lead}{",".join(map(str, spec.degrees))}{middle}{amplitude},'
+                    f'{lead}{",".join(map(str, degs))}{middle}{amplitude},'
                     f'"canonical_self_intersection":{{"num":{num},"den":{den}}},{tail}'
                     f'{"null" if verdict is None else _encode_line(verdict.to_json())}}}\n'
                 )

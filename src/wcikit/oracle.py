@@ -33,6 +33,9 @@ SEARCH_NOT_ENGAGED = "no_vanishing_restriction"
 DEFAULT_PRIMES = (3, 5, 7)
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_COUNT = 100_000
+# Cells (p rows times one column per distinct reduced exponent) a scan's
+# power table may hold; a larger table is refused with ValueError.
+MAX_POWER_TABLE_CELLS = 2**23
 
 
 @dataclass(frozen=True)
@@ -280,7 +283,13 @@ def _columns(polys, p) -> dict[int, int]:
 def _power_table(p, column):
     """``powt[x][column[e]]`` = x^e mod p: p rows of one entry per exponent
     of ``column``, so a member of few distinct exponents gets a narrow table
-    over a large field."""
+    over a large field.  A table of more than ``MAX_POWER_TABLE_CELLS``
+    cells raises ValueError before any row is built."""
+    if p * len(column) > MAX_POWER_TABLE_CELLS:
+        raise ValueError(
+            f"a scan over GF({p}) of {len(column)} distinct exponents needs a power table "
+            f"of {p} x {len(column)} cells, more than {MAX_POWER_TABLE_CELLS}"
+        )
     return [[pow(x, e, p) for e in column] for x in range(p)]
 
 

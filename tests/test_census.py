@@ -1,5 +1,6 @@
 """Tests for parameter-space enumeration, classification, and persistence."""
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +13,7 @@ from wcikit import (
     CensusBounds,
     ProbeBudget,
     WCISpec,
+    Weights,
     classify,
     enumerate_specs,
     is_linear_cone,
@@ -51,9 +53,19 @@ def drain(census):
             return records, done.value
 
 
-def independent_spec_count(bounds):
-    """Count specs by brute force over combinations_with_replacement."""
-    total = 0
+def specs_of(bounds):
+    """The specs of the box: ``enumerate_specs``' blocks expanded, in order."""
+    return [
+        WCISpec(w, degs)
+        for w, k, degrees in enumerate_specs(bounds)
+        for degs in combinations_with_replacement(degrees, k)
+    ]
+
+
+def independent_spec_keys(bounds):
+    """The keys of the box's specs in enumeration order, by brute force over
+    combinations_with_replacement."""
+    keys = []
     for count in range(2, bounds.max_n + 2):
         for w in combinations_with_replacement(range(1, bounds.max_weight + 1), count):
             if sum(w) > bounds.max_weight_sum or not is_well_formed_space(w):
@@ -61,8 +73,10 @@ def independent_spec_count(bounds):
             n = count - 1
             for k in range(1, min(bounds.max_k, n - bounds.min_dim) + 1):
                 for degs in combinations_with_replacement(range(1, bounds.max_degree + 1), k):
-                    total += 1
-    return total
+                    if bounds.require_non_linear_cone and not set(degs).isdisjoint(w):
+                        continue
+                    keys.append(f"{','.join(map(str, w))}/{','.join(map(str, degs))}")
+    return keys
 
 
 class TestBounds:
@@ -117,7 +131,7 @@ CONE_BOXES = (
 
 class TestEnumerate:
     def test_tiny_stream_contents(self):
-        keys = [s.key() for s in enumerate_specs(TINY)]
+        keys = [s.key() for s in specs_of(TINY)]
         assert "1,1,2/1" in keys and "1,1,2/2" in keys
 
     def test_non_linear_cone_filter(self):
@@ -125,30 +139,30 @@ class TestEnumerate:
             max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2,
             require_non_linear_cone=True,
         )
-        keys = [s.key() for s in enumerate_specs(bounds)]
+        keys = [s.key() for s in specs_of(bounds)]
         assert "1,1,2/1" not in keys
-        assert all(not is_linear_cone(s) for s in enumerate_specs(bounds))
+        assert all(not is_linear_cone(s) for s in specs_of(bounds))
 
     def test_min_dim_empties_small_boxes(self):
         bounds = CensusBounds(
             max_n=3, max_weight=4, max_weight_sum=8, max_k=2, max_degree=4, min_dim=3
         )
-        assert list(enumerate_specs(bounds)) == []
+        assert list(enumerate_specs(bounds)) == [] == specs_of(bounds)
 
     def test_each_spec_exactly_once(self):
         bounds = CensusBounds(max_n=4, max_weight=4, max_weight_sum=9, max_k=2, max_degree=3)
-        keys = [s.key() for s in enumerate_specs(bounds)]
+        keys = [s.key() for s in specs_of(bounds)]
         assert len(keys) == len(set(keys))
 
     def test_weights_ascending_and_well_formed(self):
         bounds = CensusBounds(max_n=4, max_weight=5, max_weight_sum=10, max_k=2, max_degree=3)
-        for s in enumerate_specs(bounds):
+        for s in specs_of(bounds):
             assert tuple(s.weights) == tuple(sorted(s.weights))
             assert tuple(s.degrees) == tuple(sorted(s.degrees))
             assert is_well_formed_space(s.weights)
 
     def test_degree_tuples_are_ascending_tuples_with_a_slack_sum(self):
-        # enumerate_specs draws degrees from combinations_with_replacement; with
+        # A block's specs are combinations_with_replacement of its degrees; with
         # the sum bound k * max_degree it is exactly _ascending_tuples.
         for k in range(1, 5):
             for top in range(1, 16):
@@ -158,30 +172,37 @@ class TestEnumerate:
 
     def test_cone_filter_drops_exactly_the_cones_in_order(self):
         for bounds in CONE_BOXES:
-            unfiltered = list(enumerate_specs(bounds))
-            filtered = list(enumerate_specs(replace(bounds, require_non_linear_cone=True)))
+            unfiltered = specs_of(bounds)
+            filtered = specs_of(replace(bounds, require_non_linear_cone=True))
             assert filtered == [s for s in unfiltered if not is_linear_cone(s)]
 
     def test_linear_cone_count_against_brute_force(self):
         for bounds in CONE_BOXES:
-            brute = sum(map(is_linear_cone, enumerate_specs(bounds)))
+            brute = sum(map(is_linear_cone, specs_of(bounds)))
             assert _linear_cone_count(bounds) == brute > 0, bounds
         # With max_degree=2 every degree tuple of (1,1,2) meets a weight, so
         # the weight tuple yields no spec at all and only the count sees it.
         last = CONE_BOXES[-1]
         assert any(w.entries == (1, 1, 2) for w, _ in _ambients(last))
-        filtered = enumerate_specs(replace(last, require_non_linear_cone=True))
+        filtered = specs_of(replace(last, require_non_linear_cone=True))
         assert all(s.weights.entries != (1, 1, 2) for s in filtered)
 
     def test_trusted_specs_equal_validated_ones(self):
-        # enumerate_specs builds its specs through WCISpec from a Weights and a
-        # degree tuple; each must equal, and hash like, the spec built from
-        # plain sequences.
+        # enumerate_specs yields each block's Weights and degree tuple, and
+        # the engine builds specs through WCISpec from the Weights and the
+        # degrees of its rows; the rows are the blocks' specs in order, and
+        # each built spec equals, and hashes like, the spec built from plain
+        # sequences.
         for bounds in CONE_BOXES:
-            for spec in enumerate_specs(bounds):
-                public = WCISpec(tuple(spec.weights), list(spec.degrees))
-                assert spec == public and hash(spec) == hash(public), spec.key()
-                assert type(spec.degrees) is tuple and spec.codimension <= spec.weights.dim
+            for box in (bounds, replace(bounds, require_non_linear_cone=True)):
+                for w, k, degrees in enumerate_specs(box):
+                    assert type(w) is Weights and type(degrees) is tuple and k >= 1
+                rows = [(w, degs) for w, degs, *_ in wcikit.census._rows(box, None)]
+                assert [(s.weights, s.degrees) for s in specs_of(box)] == rows
+                for w, degs in rows:
+                    spec, public = WCISpec(w, degs), WCISpec(tuple(w), list(degs))
+                    assert spec == public and hash(spec) == hash(public), spec.key()
+                    assert type(spec.degrees) is tuple and spec.codimension <= spec.weights.dim
 
     def test_max_degree_capped_at_the_entry_limit(self):
         box = TINY.to_json()
@@ -190,12 +211,11 @@ class TestEnumerate:
         assert CensusBounds.from_json({**box, "max_degree": 2**63 - 1}).max_degree == 2**63 - 1
 
     def test_completeness_against_independent_counter(self):
-        for bounds in [
-            TINY,
-            CensusBounds(max_n=4, max_weight=4, max_weight_sum=9, max_k=2, max_degree=3),
-            CensusBounds(max_n=5, max_weight=6, max_weight_sum=11, max_k=3, max_degree=4, min_dim=1),
-        ]:
-            assert len(list(enumerate_specs(bounds))) == independent_spec_count(bounds)
+        # The expanded blocks are the brute-force specs, in order, with and
+        # without the cone filter.
+        for bounds in (TINY, *CONE_BOXES):
+            for box in (bounds, replace(bounds, require_non_linear_cone=True)):
+                assert [s.key() for s in specs_of(box)] == independent_spec_keys(box), box
 
 
 class TestRunCensus:
@@ -238,7 +258,7 @@ class TestRunCensus:
         assert summary.total == len(records) == 2
 
     def test_summary_survives_a_wrapper_that_drops_the_return_value(self, monkeypatch):
-        # A profiler that re-yields enumerate_specs' items and drops its
+        # A profiler that re-yields enumerate_specs' blocks and drops its
         # return value must not change the summary.
         bounds = replace(CONE_BOXES[1], require_non_linear_cone=True)
         expected = drain(run_census(bounds))
@@ -375,6 +395,20 @@ class TestCensusLines:
         assert_lines_are_the_records(tmp_path)
 
 
+    def test_unfiltered_box_bytes_pinned(self, tmp_path):
+        # The only box whose keys vary in the linear-cone bit and the
+        # non-integral-surface bit; a key without either merges records that
+        # differ in their status or flags.
+        out = tmp_path / "c.jsonl"
+        assert write_census(UNFILTERED, out).total == 6559
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6c3e52dd39743c0c16decd12d6b4481b96a252c447e0575acd84f0835044f1c6"
+        )
+        assert hashlib.sha256((tmp_path / "c.jsonl.summary.json").read_bytes()).hexdigest() == (
+            "c96b494715863537632bc6f7a0fe4c3b5076a604399b956348abc5b7c504645c"
+        )
+
+
 class TestPersistence:
     def test_jsonl_byte_identical(self, tmp_path):
         bounds = CensusBounds(max_n=4, max_weight=3, max_weight_sum=8, max_k=2, max_degree=3)
@@ -410,13 +444,18 @@ class TestPersistence:
             write_census(TINY, tmp_path / "missing" / "c.jsonl")
 
     def test_interrupt_leaves_partial_jsonl_and_marker(self, tmp_path, monkeypatch):
-        real = wcikit.census.enumerate_specs
+        # The engine keys each record by one _analysis call; the fourth is
+        # interrupted, after three records.
+        real = wcikit.census._analysis
+        calls = []
 
-        def interrupted(bounds):
-            yield from list(real(bounds))[:3]
-            raise KeyboardInterrupt
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise KeyboardInterrupt
+            return real(*args)
 
-        monkeypatch.setattr(wcikit.census, "enumerate_specs", interrupted)
+        monkeypatch.setattr(wcikit.census, "_analysis", interrupted)
 
         out = tmp_path / "c.jsonl"
         sidecar = tmp_path / "c.jsonl.summary.json"

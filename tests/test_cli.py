@@ -629,6 +629,8 @@ CATALOGUE = [
     ("probe-largest-prime-degree-1000",
      ["probe", "1,1", "--degrees", "1000", "--primes", "65521", "--poly-file", "{dir}/f.txt"],
      {"f.txt": "x0^1000 + x1^1000\n"}, 0),
+    ("probe-generic-largest-prime-degree-1000",
+     ["probe", "1,1", "--degrees", "1000", "--primes", "65521"], {}, 2),
     ("strata-all-41-weights", ["strata", "1,1," + ",".join(["2"] * 39), "--all"], {}, 2),
     ("census-max-degree-2^63",
      ["census", "--config", "{dir}/c.json", "--output", "{dir}/c.jsonl"],

@@ -875,6 +875,18 @@ class TestGroupedScan:
             huge = system(["x0^100000 + x1^100000"], (1, 1), p)
             assert len(oracle._columns(huge.polys, p)) == 1
 
+    def test_power_table_past_the_cell_bound_refused(self, monkeypatch):
+        # p x len(column) cells at most; one cell more is refused before any
+        # row is built, by the probe as by the table.
+        monkeypatch.setattr(oracle, "MAX_POWER_TABLE_CELLS", 10)
+        assert len(oracle._power_table(5, {1: 0, 2: 1})) == 5
+        with pytest.raises(ValueError, match="power table of 5 x 3 cells, more than 10"):
+            oracle._power_table(5, {1: 0, 2: 1, 3: 2})
+        s = system(["x0^3 + x1^3"], (1, 1), 5)
+        assert quasi_smooth_probe(s, [5]).status == "no_witness_found"
+        with pytest.raises(ValueError, match="more than 10"):
+            quasi_smooth_probe(system(["x0^3 + x0*x1^2"], (1, 1), 5), [5])
+
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_orbit_slice_in_runs_of_p(self, p):
         # k = 1, 2 and 3; the slice comes in runs of p points sharing a prefix.
