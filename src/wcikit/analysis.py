@@ -308,55 +308,15 @@ def _representable(d: int, values: tuple[int, ...]) -> bool:
     return is_representable(d, values)
 
 
-# Degrees whose facts one ambient keeps; the table is cleared when full, so a
-# caller sweeping many degrees over one ambient holds at most this many.
-DEGREE_FACTS_SIZE = 256
-
-# Degree patterns whose verdicts classify keeps.  The census visits each
-# ambient in one run, so its 4,740 patterns hit as often in 512 entries as
-# in an unbounded memo.
-PATTERN_CACHE_SIZE = 512
-
-
-class _DegreeFacts(dict):
-    """One ambient's facts per degree, each the bits of one int: bit i if
-    the degree cuts covering stratum i (is representable over its values),
-    bit n + i if that stratum's delta divides it, and bit 2n + g if it cuts
-    the weak candidates of group g, where n counts the covering strata.  A
-    missing degree is computed on lookup; the table is cleared when it holds
-    ``DEGREE_FACTS_SIZE`` degrees."""
-
-    def __init__(self, covering, weak):
-        super().__init__()
-        self.covering = covering
-        self.weak = weak
-
-    def __missing__(self, d: int) -> int:
-        n = len(self.covering)
-        facts = 0
-        for i, (st, _, values, _) in enumerate(self.covering):
-            if _representable(d, values):
-                facts |= 1 << i
-            if d % st.delta == 0:
-                facts |= 1 << (n + i)
-        for g, (values, _) in enumerate(self.weak, 2 * n):
-            if _representable(d, values):
-                facts |= 1 << g
-        if len(self) >= DEGREE_FACTS_SIZE:
-            self.clear()
-        self[d] = facts
-        return facts
-
-
 @lru_cache(maxsize=1024)
-def _ambient(weights: Weights, dim_x: int) -> _DegreeFacts | None:
-    """The degree-free facts ``classify`` needs, with the table of per-degree
-    facts they index: None for a non-well-formed ambient, otherwise a
-    ``_DegreeFacts`` whose ``covering`` holds one (stratum, its dimension,
-    its sorted distinct weight values, count of weights delta divides) tuple
-    per covering stratum, in report order, and whose ``weak`` holds the weak
-    candidates (the other singular strata of dimension dim_x - 1) grouped by
-    their sorted distinct weight values, on which representability, hence
+def _ambient(weights: Weights, dim_x: int):
+    """The facts of an ambient and a dimension that do not depend on the
+    degrees: None for a non-well-formed ambient, otherwise a (covering,
+    weak) pair.  ``covering`` holds one (stratum, its dimension, its sorted
+    distinct weight values, count of weights delta divides) tuple per
+    covering stratum, in report order; ``weak`` holds the weak candidates
+    (the other singular strata of dimension dim_x - 1) grouped by their
+    sorted distinct weight values, on which representability, hence
     containment, alone depends."""
     if not is_well_formed_space(weights):
         return None
@@ -371,18 +331,35 @@ def _ambient(weights: Weights, dim_x: int) -> _DegreeFacts | None:
         if idx not in known:
             values = weights.at(idx)
             weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
-    return _DegreeFacts(covering, tuple((values, tuple(strata)) for values, strata in weak.items()))
+    return covering, tuple((values, tuple(strata)) for values, strata in weak.items())
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _pattern(weights: Weights, dim_x: int, facts: tuple[int, ...]):
+def _facts(ambient, d: int) -> int:
+    """A degree's facts over a well-formed ambient's (covering, weak) pair,
+    as the bits of one int: bit i if the degree cuts covering stratum i (is
+    representable over its values), bit n + i if that stratum's delta
+    divides it, and bit 2n + g if it cuts the weak candidates of group g,
+    where n counts the covering strata."""
+    covering, weak = ambient
+    n = len(covering)
+    facts = 0
+    for i, (st, _, values, _) in enumerate(covering):
+        if _representable(d, values):
+            facts |= 1 << i
+        if d % st.delta == 0:
+            facts |= 1 << (n + i)
+    for g, (values, _) in enumerate(weak, 2 * n):
+        if _representable(d, values):
+            facts |= 1 << g
+    return facts
+
+
+def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     """The degree-dependent verdict of every family over a well-formed
-    ambient whose degrees, in order, have the given facts: the strata tuple
-    (shared between reports, since its items are frozen), the singular
-    intersection dimension, and whether the weak check failed, a stratum is
-    degenerately contained and the Dimca count disagrees."""
-    ambient = _ambient(weights, dim_x)
-    covering, weak = ambient.covering, ambient.weak
+    ambient whose degrees, in order, have the given facts: the strata tuple,
+    the singular intersection dimension, and whether the weak check failed,
+    a stratum is degenerately contained and the Dimca count disagrees."""
+    covering, weak = ambient
     n = len(covering)
     inters = []
     sing_dim = -1
@@ -421,12 +398,12 @@ def _pattern(weights: Weights, dim_x: int, facts: tuple[int, ...]):
 
 
 def _degree_records(ambient, entries, degrees) -> list[tuple[int, int | None, bool]]:
-    """Each degree's record over one ambient: the degree, its facts in the
-    ambient's table (None over a non-well-formed ambient, which keeps none)
-    and whether it equals one of the weight ``entries``."""
+    """Each degree's record over one ambient: the degree, its ``_facts``
+    (None over a non-well-formed ambient, which has none) and whether it
+    equals one of the weight ``entries``."""
     if ambient is None:
         return [(d, None, d in entries) for d in degrees]
-    return [(d, ambient[d], d in entries) for d in degrees]
+    return [(d, _facts(ambient, d), d in entries) for d in degrees]
 
 
 def _analysis(records, dim_x: int, weight_sum: int, weight_prod: int):
@@ -462,17 +439,18 @@ def classify(spec: WCISpec) -> AnalysisReport:
     The facts that do not depend on the degrees (well-formedness of the
     ambient, its covering strata with their dimensions and weight values,
     the weight half of the Dimca count, the weak candidates) are computed
-    once per weight tuple and dimension in a bounded cache.  Each degree's
-    facts over that ambient (which covering strata and weak candidate groups
-    it cuts, which covering deltas divide it) are one int in the ambient's
-    bounded table, with each (degree, value-set) representability question
-    decided once in a third cache.  The verdict depends on the degrees only
-    through the tuple of their facts, so the strata, the singular
-    intersection dimension and the weak, degenerate and Dimca outcomes are
-    computed once per (ambient, degree pattern) in a ``PATTERN_CACHE_SIZE``
-    cache.  A call then adds what is specific to the record: the linear
-    cone and the adjunction data (from ``_analysis``, as the census's), the
-    flags and the status.
+    once per weight tuple and dimension, in the bounded ``_ambient`` cache.
+    Each degree's facts over that ambient (which covering strata and weak
+    candidate groups it cuts, which covering deltas divide it) are one int,
+    whose representability questions are each decided once per (degree,
+    value-set) pair in the bounded ``_representable`` cache.  The verdict
+    depends on the degrees only through the tuple of their facts, the
+    pattern, from which ``_pattern`` computes the strata, the singular
+    intersection dimension and the weak, degenerate and Dimca outcomes.
+    The call then adds what is specific to the record: the linear cone and
+    the adjunction data (from ``_analysis``, as the census's), the flags
+    and the status.  A caller that classifies many specs of one ambient and
+    pattern keeps the reports itself, as the census does per key.
     """
     dim_x = spec.dimension
     entries = spec.weights.entries
@@ -483,7 +461,7 @@ def classify(spec: WCISpec) -> AnalysisReport:
     )
     space_well_formed = ambient is not None
     if space_well_formed:
-        inters, sing_dim, weak_found, degenerate, mismatch = _pattern(spec.weights, dim_x, facts)
+        inters, sing_dim, weak_found, degenerate, mismatch = _pattern(ambient, dim_x, facts)
     else:
         inters, sing_dim, weak_found, degenerate, mismatch = (), -1, False, False, False
     well_formed = space_well_formed and dim_x - sing_dim >= 2

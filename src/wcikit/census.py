@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
 from pathlib import Path
 from typing import Generator, Iterator, Optional
 
 from .analysis import (
-    PATTERN_CACHE_SIZE,
     THEOREM_CONSISTENT,
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
     AnalysisReport,
@@ -31,10 +31,15 @@ from .analysis import (
     _degree_records,
     classify,
 )
-from .jsonout import dump
+from .jsonout import dump, exact_ints
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
 from .weights import MAX_ENTRY, Weights, is_well_formed_space
+
+# Keys whose entries (a report and its cut line) the census keeps for one
+# block; they are dropped when they number this many, so a block of many
+# degree tuples holds a bounded number of reports.
+PATTERN_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -130,14 +135,32 @@ class CensusSummary:
 
 def _ascending_tuples(length: int, lo: int, max_value: int, budget: int):
     """Non-decreasing tuples of the given length with entries in [lo, max_value]
-    and sum bounded by budget."""
+    and sum bounded by budget, in lexicographic order.
+
+    An odometer, not a recursion, so the length is not bounded by the
+    interpreter's recursion limit.  An entry with ``r`` entries still to
+    place (itself included) stays at or below ``budget_left // r``, since the
+    entries after it are at least as large."""
     if length == 0:
         yield ()
         return
-    top = min(max_value, budget // length)  # the remaining entries are all >= the current one
-    for v in range(lo, top + 1):
-        for rest in _ascending_tuples(length - 1, v, max_value, budget - v):
-            yield (v,) + rest
+    entries: list[int] = []
+    v = lo
+    while True:
+        left = length - len(entries)
+        if v <= min(max_value, budget // left):
+            if left == 1:
+                yield (*entries, v)
+                v += 1
+            else:
+                entries.append(v)
+                budget -= v
+        elif entries:
+            v = entries.pop()
+            budget += v
+            v += 1
+        else:
+            return
 
 
 def _ambients(bounds: CensusBounds):
@@ -203,81 +226,6 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
     )
 
 
-def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget]):
-    """The census engine: one row (weights, degrees, amplitude, the
-    self-intersection's numerator and denominator, entry, verdict) per spec
-    of the box, in enumeration order; the summary, tallied on the way, is
-    the return value.
-
-    The specs of a block of ``enumerate_specs`` share the ambient and the
-    codimension, so each allowed degree's record (``analysis._degree_records``:
-    its facts, whether it equals a weight) is looked up once per block, and
-    each spec's key and adjunction data come from its records by
-    ``analysis._analysis``, as ``classify``'s do; no spec is built for it.
-    Over one block, a report depends on its spec only through the key and
-    the adjunction data.  So the first spec of each key is built and
-    classified, and its entry (``_entry``: the report and its line cut
-    around the per-spec values) serves every later spec of the key.  The
-    entries are dropped at each block and when they number
-    ``PATTERN_CACHE_SIZE``.  With a budget, the theorem-applicable specs are
-    built and spot-probed.  A probe can only certify non-quasi-smoothness, so
-    it never contradicts a record's theorem status.  The linear cones, which
-    the enumeration never builds, are counted in closed form at the end."""
-    total = well_formed = weakly_only = neither = implies = probed = 0
-    for w, k, degrees in enumerate_specs(bounds):
-        values = w.entries
-        dim_x = w.dim - k
-        records = _degree_records(_ambient(w, dim_x), values, degrees)
-        weight_sum, weight_prod = sum(values), prod(values)
-        entries: dict = {}
-        for chosen in combinations_with_replacement(records, k):
-            degs, key, amplitude, num, den = _analysis(chosen, dim_x, weight_sum, weight_prod)
-            if len(entries) >= PATTERN_CACHE_SIZE:
-                entries.clear()
-            entry = entries.get(key)
-            if entry is None:
-                entry = entries[key] = _entry(classify(WCISpec(w, degs)))
-            report = entry[0]
-            status = report.theorem_status
-            verdict = None
-            if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
-                verdict = _spot_probe(WCISpec(w, degs), probe)
-            total += 1
-            well_formed += report.well_formed
-            weakly_only += report.weakly_well_formed and not report.well_formed
-            neither += not report.weakly_well_formed
-            implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
-            probed += verdict is not None
-            yield w, degs, amplitude, num, den, entry, verdict
-    skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
-    return CensusSummary(
-        total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
-        linear_cone_skipped=skipped, theorem_implies_not_quasismooth=implies, probed=probed,
-    )
-
-
-def run_census(
-    bounds: CensusBounds, probe: Optional[ProbeBudget] = None
-) -> Generator[CensusRecord, None, CensusSummary]:
-    """Yield each spec's record, ``CensusRecord(classify(spec), verdict)``,
-    in enumeration order; with a budget, the verdict of each
-    theorem-applicable spec is a spot-probe over the first of the budget's
-    primes that divides none of its weights and degrees.  The summary,
-    tallied on the way, is the return value.  ``write_census`` writes the
-    same records from the same engine without building them."""
-    rows = _rows(bounds, probe)
-    while True:
-        try:
-            w, degs, _, _, _, _, verdict = next(rows)
-        except StopIteration as done:
-            return done.value
-        yield CensusRecord(classify(WCISpec(w, degs)), verdict)
-
-
-def summary_sidecar_path(path) -> Path:
-    return Path(str(path) + ".summary.json")
-
-
 # The compact encoding of a census record and of an oracle verdict.
 # json.dumps with non-default separators would build a new encoder per call;
 # to_json builds fresh trees, so there are no cycles to check for.
@@ -299,6 +247,91 @@ def _entry(report: AnalysisReport) -> tuple[AnalysisReport, str, str, str]:
     return report, line[:lead], line[middle:amplitude], line[tail : -len("null}")]
 
 
+def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
+    """The census engine: one row (weights, degrees, amplitude, the
+    self-intersection's numerator and denominator, entry, verdict) per spec
+    of the box, in enumeration order; the summary, tallied on the way, is
+    the return value.
+
+    The specs of a block of ``enumerate_specs`` share the ambient and the
+    codimension, so each allowed degree's record (``analysis._degree_records``:
+    its facts, whether it equals a weight) is looked up once per block, and
+    each spec's key and adjunction data come from its records by
+    ``analysis._analysis``, as ``classify``'s do; no spec is built for it.
+    Over one block, a report depends on its spec only through the key and
+    the adjunction data.  So the first spec of each key is built and
+    classified, and ``entry`` of its report serves every later spec of the
+    key: a tuple whose first item is the report (``_entry`` adds the
+    report's line cut around the per-spec values).  The entries are dropped
+    at each block and when they number ``PATTERN_CACHE_SIZE``.  With a
+    budget, the theorem-applicable specs are built and spot-probed.  A probe
+    can only certify non-quasi-smoothness, so it never contradicts a
+    record's theorem status.  The linear cones, which the enumeration never
+    builds, are counted in closed form at the end."""
+    total = well_formed = weakly_only = neither = implies = probed = 0
+    for w, k, degrees in enumerate_specs(bounds):
+        values = w.entries
+        dim_x = w.dim - k
+        records = _degree_records(_ambient(w, dim_x), values, degrees)
+        weight_sum, weight_prod = sum(values), prod(values)
+        entries: dict = {}
+        for chosen in combinations_with_replacement(records, k):
+            degs, key, amplitude, num, den = _analysis(chosen, dim_x, weight_sum, weight_prod)
+            if len(entries) >= PATTERN_CACHE_SIZE:
+                entries.clear()
+            found = entries.get(key)
+            if found is None:
+                found = entries[key] = entry(classify(WCISpec(w, degs)))
+            report = found[0]
+            status = report.theorem_status
+            verdict = None
+            if probe is not None and status in (THEOREM_CONSISTENT, THEOREM_IMPLIES_NOT_QUASISMOOTH):
+                verdict = _spot_probe(WCISpec(w, degs), probe)
+            total += 1
+            well_formed += report.well_formed
+            weakly_only += report.weakly_well_formed and not report.well_formed
+            neither += not report.weakly_well_formed
+            implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
+            probed += verdict is not None
+            yield w, degs, amplitude, num, den, found, verdict
+    skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
+    return CensusSummary(
+        total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
+        linear_cone_skipped=skipped, theorem_implies_not_quasismooth=implies, probed=probed,
+    )
+
+
+def run_census(
+    bounds: CensusBounds, probe: Optional[ProbeBudget] = None
+) -> Generator[CensusRecord, None, CensusSummary]:
+    """Yield each spec's record, ``CensusRecord(classify(spec), verdict)``,
+    in enumeration order; with a budget, the verdict of each
+    theorem-applicable spec is a spot-probe over the first of the budget's
+    primes that divides none of its weights and degrees.  The summary,
+    tallied on the way, is the return value.
+
+    The records come from the engine that ``write_census`` writes its lines
+    from: each report is the report of its key's first spec with the spec,
+    the amplitude and the self-intersection of its own spec put in, so
+    ``classify`` runs once per key here too.  The entries hold the report
+    alone, since no line is written."""
+    rows = _rows(bounds, probe, lambda report: (report,))
+    while True:
+        try:
+            w, degs, amplitude, num, den, (report,), verdict = next(rows)
+        except StopIteration as done:
+            return done.value
+        report = replace(
+            report, spec=WCISpec(w, degs), amplitude=amplitude,
+            canonical_self_intersection=Fraction(num, den),
+        )
+        yield CensusRecord(report, verdict)
+
+
+def summary_sidecar_path(path) -> Path:
+    return Path(str(path) + ".summary.json")
+
+
 def write_census(
     bounds: CensusBounds, path, summary_path=None, probe: Optional[ProbeBudget] = None
 ) -> CensusSummary:
@@ -311,6 +344,9 @@ def write_census(
     report is built for it: the line is the entry's lead, the degrees, the
     entry's middle, the amplitude, the self-intersection, the entry's tail
     and the verdict, where the entry (``_entry``) is encoded once per key.
+
+    Ints of any size are written exactly (``jsonout.exact_ints`` is in
+    force while the records are drawn and written).
 
     The output is opened before the first spec is drawn, so an unwritable
     path is refused before any spec is classified.  On any exception,
@@ -330,7 +366,7 @@ def write_census(
     if same:
         raise ValueError(f"the summary {summary_path} and the records {path} are one file")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with exact_ints(), open(path, "w", encoding="utf-8") as fh:
             write = fh.write
             rows = _rows(bounds, probe)
             while True:

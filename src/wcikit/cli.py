@@ -297,7 +297,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - invariant violations
-        print(f"internal error: {exc}", file=sys.stderr)
+        # MemoryError has no text; name its type instead.
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

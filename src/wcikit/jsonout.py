@@ -6,11 +6,18 @@ partial-output marker) goes through ``dump``.  It emits exactly what ``json.dump
 emits, in less than half the time on an ``analyze`` report with thousands of
 strata: when ``indent`` is set the stdlib never uses its C encoder, and its
 pure-Python one walks the document a value at a time.
+
+Integers are written exactly, however many digits they have: ``exact_ints``
+lifts the interpreter's limit on int-to-decimal conversion while a writer
+runs.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 
 # Chunks gathered before each write: a document is written in bounded
@@ -26,6 +33,42 @@ _SCALARS = {
 }
 
 
+# The writers inside exact_ints and the limit to restore when the last one
+# leaves; writers in several threads overlap, so the count is kept under a lock.
+_lift_lock = threading.Lock()
+_lifts = 0
+_saved_limit = 0
+
+
+@contextmanager
+def exact_ints():
+    """Lift the interpreter's limit on converting an int to decimal text
+    (``sys.set_int_max_str_digits``, 4,300 digits by default) for the body,
+    and restore the previous limit when the last body in any thread ends,
+    however it ends.  The limit guards parsing untrusted text; a writer
+    only formats ints that exact arithmetic produced, such as the
+    self-intersection of a quadric in P^2999, whose numerator has 10,424
+    digits.  The limit is process-wide, so it is lifted for every thread
+    while a body runs.  An interpreter without the limit (Python before
+    3.11) needs nothing."""
+    global _lifts, _saved_limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    with _lift_lock:
+        if _lifts == 0:
+            _saved_limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _lifts += 1
+    try:
+        yield
+    finally:
+        with _lift_lock:
+            _lifts -= 1
+            if _lifts == 0:
+                sys.set_int_max_str_digits(_saved_limit)
+
+
 def dump(obj, fh) -> None:
     """Write ``obj`` to the text file ``fh`` byte for byte as
     ``json.dump(obj, fh, indent=2)`` does.
@@ -37,7 +80,8 @@ def dump(obj, fh) -> None:
     the stdlib: ``json.dumps(value, indent=2)``, re-indented to its depth by
     putting the depth's indent after each ``"\\n"``.  JSON text holds no raw
     newline, so the result is byte-identical.  There is no cycle check:
-    ``to_json`` builds fresh trees.
+    ``to_json`` builds fresh trees.  Ints of any size are written exactly
+    (``exact_ints``).
     """
     chunks: list[str] = []
     append = chunks.append
@@ -94,5 +138,6 @@ def dump(obj, fh) -> None:
         else:
             append(json.dumps(v, indent=2).replace("\n", nl))
 
-    value(obj, "\n")
-    flush()
+    with exact_ints():
+        value(obj, "\n")
+        flush()

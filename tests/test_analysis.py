@@ -32,12 +32,9 @@ from wcikit import (
     stratum_intersection,
 )
 from wcikit.analysis import (
-    DEGREE_FACTS_SIZE,
     MAX_RESIDUE_WORK,
-    PATTERN_CACHE_SIZE,
     REPRESENTABLE_CACHE_SIZE,
     _ambient,
-    _pattern,
     _representable,
 )
 from wcikit.cli import main
@@ -572,7 +569,7 @@ def small_box_specs():
 
 
 def clear_classify_caches():
-    for cache in (_representable, _ambient, _pattern):
+    for cache in (_representable, _ambient):
         cache.cache_clear()
 
 
@@ -602,23 +599,20 @@ class TestClassifyCaches:
         clear_classify_caches()
         for spec in specs:
             assert classify(spec).to_json() == reference_report_json(spec), spec.key()
-        assert _pattern.cache_info().hits > 0
 
-    def test_pattern_cache_and_degree_facts_stay_bounded(self):
+    def test_caches_stay_bounded_past_many_patterns(self):
         # One point stratum per prime, so a degree's facts are its
         # divisibility by 2, 3, 5, 7, 11 and 13: consecutive degree pairs
-        # make more patterns than the cache keeps.
+        # make tens of thousands of patterns, and no cache keeps them.
         clear_classify_caches()
         spec_weights = Weights((1, 2, 3, 5, 7, 11, 13))
         for d in range(1, 20_001):
             classify(WCISpec(spec_weights, (d,)))
             classify(WCISpec(spec_weights, (d, d + 1)))
-        info = _pattern.cache_info()
-        assert info.maxsize == PATTERN_CACHE_SIZE
-        assert info.currsize == info.maxsize < info.misses
-        for dim_x in (4, 5):
-            assert 0 < len(_ambient(spec_weights, dim_x)) <= DEGREE_FACTS_SIZE
-        # Past evictions and clears the reports are still right.
+        for cache in (_ambient, _representable):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        # Past evictions the reports are still right.
         for degs in ((19_999,), (20_000, 20_001), (5,), (6, 7), (30_030, 30_031)):
             spec = WCISpec(spec_weights, degs)
             assert classify(spec).to_json() == reference_report_json(spec)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -34,6 +35,7 @@ from wcikit.census import (
     _encode_line,
     _linear_cone_count,
 )
+from wcikit.jsonout import exact_ints
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
 # The probed census box of the benchmark: 38 records, probed at p = 5.
@@ -169,6 +171,25 @@ class TestEnumerate:
                 assert list(combinations_with_replacement(range(1, top + 1), k)) == list(
                     _ascending_tuples(k, 1, top, k * top)
                 ), (k, top)
+
+    def test_ascending_tuples_against_a_recursive_reference(self):
+        def reference(length, lo, hi, budget):
+            if length == 0:
+                yield ()
+                return
+            for v in range(lo, min(hi, budget // length) + 1):
+                for rest in reference(length - 1, v, hi, budget - v):
+                    yield (v,) + rest
+
+        for length in range(6):
+            for lo in range(3):
+                for hi in range(8):
+                    for budget in range(-1, 24):
+                        assert list(_ascending_tuples(length, lo, hi, budget)) == list(
+                            reference(length, lo, hi, budget)
+                        ), (length, lo, hi, budget)
+        # Far longer than the recursion limit: one tuple of 5,000 ones.
+        assert list(_ascending_tuples(5000, 1, 1, 5000)) == [(1,) * 5000]
 
     def test_cone_filter_drops_exactly_the_cones_in_order(self):
         for bounds in CONE_BOXES:
@@ -395,6 +416,23 @@ class TestCensusLines:
         assert_lines_are_the_records(tmp_path)
 
 
+    def test_run_census_classifies_once_per_key(self, tmp_path, monkeypatch):
+        # run_census builds each record from its key's entry, as write_census
+        # writes each line from it, so both classify one spec per key.
+        classified = []
+        real = wcikit.census.classify
+
+        def counting(spec):
+            classified.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(wcikit.census, "classify", counting)
+        records, summary = drain(run_census(UNFILTERED))
+        assert len(records) == summary.total == 6559
+        by_run_census, classified[:] = len(classified), []
+        write_census(UNFILTERED, tmp_path / "c.jsonl")
+        assert by_run_census == len(classified) == 3286
+
     def test_unfiltered_box_bytes_pinned(self, tmp_path):
         # The only box whose keys vary in the linear-cone bit and the
         # non-integral-surface bit; a key without either merges records that
@@ -466,6 +504,27 @@ class TestPersistence:
         assert json.loads(sidecar.read_text()) == {
             "status": "aborted_partial_output", "error": "KeyboardInterrupt",
         }
+
+    def test_integers_beyond_the_str_digit_limit_written_exactly(self, tmp_path):
+        # The box holds X_1 and X_2 in P^2999, whose self-intersection
+        # numerators have 10,424 digits, past the interpreter's default
+        # int-to-text limit: they are written exactly and parse back equal,
+        # and the limit is restored.
+        bounds = CensusBounds(max_n=2999, max_weight=1, max_weight_sum=3000, max_k=1,
+                              max_degree=2, min_dim=2998)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = tmp_path / "c.jsonl"
+        assert write_census(bounds, out).total == 2
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with exact_ints():
+            lines = [json.loads(line) for line in out.read_text().splitlines()]
+        records, _ = drain(run_census(bounds))
+        for line, rec in zip(lines, records, strict=True):
+            expected = classify(rec.report.spec).canonical_self_intersection
+            assert abs(expected.numerator) > 10**4300
+            assert line["report"]["canonical_self_intersection"] == {
+                "num": expected.numerator, "den": expected.denominator,
+            }
 
     def test_streams_without_holding_the_records(self, tmp_path):
         # The peak stays a small fraction of the JSONL because each record is

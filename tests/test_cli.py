@@ -17,6 +17,7 @@ import wcikit.census
 from wcikit.analysis import WCISpec, classify
 from wcikit.census import CensusBounds, run_census
 from wcikit.cli import _emit, main
+from wcikit.jsonout import exact_ints
 from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe, wf_witness_search
 from wcikit.poly import GF, QQ, PolySystem, parse_poly
 from wcikit.weights import Stratum, Weights, singular_strata, well_form
@@ -53,6 +54,25 @@ class TestAnalyze:
     def test_bad_weights_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "1,x", "--degrees", "2")
         assert code == 2
+
+    def test_integers_beyond_the_str_digit_limit_written_exactly(self, capsys):
+        # The quadric in P^2999 has a self-intersection numerator of 10,424
+        # digits, past the interpreter's default int-to-text limit; it is
+        # written exactly and parses back equal, and the limit is restored.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "analyze", ",".join(["1"] * 3000), "--degrees", "2")
+        assert code == 0, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with exact_ints():
+            data = json.loads(out)
+        expected = classify(WCISpec((1,) * 3000, (2,))).canonical_self_intersection
+        assert abs(expected.numerator) > 10**4300
+        assert data["canonical_self_intersection"] == {
+            "num": expected.numerator, "den": expected.denominator,
+        }
+        # Parsing an input keeps the limit.
+        code, _, err = run_cli(capsys, "analyze", "1,1", "--degrees", "9" * 5000)
+        assert code == 2 and "cannot parse degrees" in err
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -516,6 +536,14 @@ class TestHarness:
             code, _, err = run_cli(capsys, *argv, "--verbose")
             assert code == 2 and "--verbose" in err, argv
 
+    def test_internal_error_without_text_names_its_type(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(wcikit.cli, "cmd_analyze", exhausted)
+        code, out, err = run_cli(capsys, "analyze", "1,1,2,2,2", "--degrees", "3,4")
+        assert (code, out, err) == (3, "", "internal error: MemoryError\n")
+
     def test_version(self, capsys):
         code, out, err = run_cli(capsys, "--version")
         assert code == 0 and "wcikit" in out + err
@@ -632,6 +660,13 @@ CATALOGUE = [
     ("probe-generic-largest-prime-degree-1000",
      ["probe", "1,1", "--degrees", "1000", "--primes", "65521"], {}, 2),
     ("strata-all-41-weights", ["strata", "1,1," + ",".join(["2"] * 39), "--all"], {}, 2),
+    ("analyze-63-bit-weights",
+     ["analyze", f"{2**63 - 1},{2**63 - 2},{2**63 - 3}", "--degrees", str(2**63 - 1)], {}, 0),
+    ("analyze-300-weights", ["analyze", ",".join(["1"] * 300), "--degrees", "2"], {}, 0),
+    ("analyze-P2999-quadric", ["analyze", ",".join(["1"] * 3000), "--degrees", "2"], {}, 0),
+    ("census-max-n-1000",
+     ["census", "--max-n", "1000", "--max-weight", "1", "--max-weight-sum", "1001", "--max-k",
+      "1", "--max-degree", "2", "--min-dim", "999", "--output", "{dir}/c.jsonl"], {}, 0),
     ("census-max-degree-2^63",
      ["census", "--config", "{dir}/c.json", "--output", "{dir}/c.jsonl"],
      {"c.json": json.dumps({"max_n": 2, "max_weight": 2, "max_weight_sum": 4, "max_k": 1,

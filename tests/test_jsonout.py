@@ -3,11 +3,13 @@
 import enum
 import io
 import json
+import sys
+import threading
 from collections import OrderedDict
 
 import pytest
 
-from wcikit.jsonout import _BATCH, dump
+from wcikit.jsonout import _BATCH, dump, exact_ints
 
 
 class Colour(enum.IntEnum):
@@ -73,3 +75,59 @@ def test_writes_in_batches():
         dump(obj, Recorder())
         assert "".join(writes) == json.dumps(obj, indent=2)
         assert len(writes) > 5 and max(map(len, writes)) < len("".join(writes)) / 4
+
+
+needs_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text limit before Python 3.11"
+)
+
+
+@needs_limit
+def test_ints_past_the_digit_limit_written_exactly_and_the_limit_restored():
+    limit = sys.get_int_max_str_digits()
+    big = -(7**20_000)  # 16,902 digits
+    text = dumped({"num": big, "list": [big, 1], "mixed": [big, "s"]})
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        str(big)
+    with exact_ints():
+        assert text == json.dumps({"num": big, "list": [big, 1], "mixed": [big, "s"]}, indent=2)
+        assert json.loads(text)["num"] == big
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_limit
+def test_overlapping_writers_keep_the_limit_lifted_until_the_last_leaves():
+    limit = sys.get_int_max_str_digits()
+    first, second = exact_ints(), exact_ints()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)  # not nested: the first to enter leaves first
+    assert sys.get_int_max_str_digits() == 0
+    second.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == limit
+    # Threads writing at once, switching often: no writer sees the limit
+    # restored under it, and the limit is restored at the end.
+    big = 7**8_000
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(100):
+                dumped([big])
+        except ValueError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sys.get_int_max_str_digits() == limit
