@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
+from typing import Iterator
 
 from .weights import (
     MAX_ENTRY,
@@ -397,13 +398,14 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 
-def _degree_records(ambient, entries, degrees) -> list[tuple[int, int | None, bool]]:
-    """Each degree's record over one ambient: the degree, its ``_facts``
-    (None over a non-well-formed ambient, which has none) and whether it
-    equals one of the weight ``entries``."""
+def _degree_records(ambient, entries, degrees) -> Iterator[tuple[int, int | None, bool]]:
+    """Each degree's record over one ambient, drawn one at a time as the
+    degrees are: the degree, its ``_facts`` (None over a non-well-formed
+    ambient, which has none) and whether it equals one of the weight
+    ``entries``."""
     if ambient is None:
-        return [(d, None, d in entries) for d in degrees]
-    return [(d, _facts(ambient, d), d in entries) for d in degrees]
+        return ((d, None, d in entries) for d in degrees)
+    return ((d, _facts(ambient, d), d in entries) for d in degrees)
 
 
 def _analysis(records, dim_x: int, weight_sum: int, weight_prod: int):

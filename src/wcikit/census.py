@@ -16,7 +16,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, filterfalse
 from math import comb, prod
 from pathlib import Path
 from typing import Generator, Iterator, Optional
@@ -163,52 +163,30 @@ def _ascending_tuples(length: int, lo: int, max_value: int, budget: int):
             return
 
 
-def _ambients(bounds: CensusBounds):
-    """Each well-formed ascending weight tuple of the box, as ``Weights``,
-    with the largest codimension the box allows it (at least 1), in
-    enumeration order."""
-    for n in range(1, bounds.max_n + 1):
+def enumerate_specs(bounds: CensusBounds) -> Iterator[tuple[Weights, int, Iterator[int]]]:
+    """Every block of the box exactly once, in deterministic order: one
+    ``(weights, k, degrees)`` per ambient and codimension, ambient dimension
+    ascending, then weights lexicographically, then codimension.  Weights
+    ascend and are well formed; ``degrees`` is a fresh one-shot iterator
+    over the allowed degree values, ascending, and the block's specs are
+    ``combinations_with_replacement(degrees, k)``, in that order.  When the
+    bounds require it, linear cones are never built: the degrees are drawn
+    from the degree range without the weight tuple's values.  Such a block
+    is yielded even when no degree is left, as for (1,1,2) with
+    ``max_degree`` 2.  Ambient dimensions start above ``min_dim``, so a box
+    that admits none yields nothing at once."""
+    degree_range = range(1, bounds.max_degree + 1)
+    for n in range(bounds.min_dim + 1, bounds.max_n + 1):
         count = n + 1
         if count > bounds.max_weight_sum:
             break
         k_top = min(bounds.max_k, n - bounds.min_dim)
-        if k_top < 1:
-            continue
         for entries in _ascending_tuples(count, 1, bounds.max_weight, bounds.max_weight_sum):
             w = Weights(entries)
             if is_well_formed_space(w):
-                yield w, k_top
-
-
-def enumerate_specs(bounds: CensusBounds) -> Iterator[tuple[Weights, int, tuple[int, ...]]]:
-    """Every block of the box exactly once, in deterministic order: one
-    ``(weights, k, degrees)`` per ambient and codimension, ambient dimension
-    ascending, then weights lexicographically, then codimension.  Weights
-    ascend and are well formed; ``degrees`` are the allowed degree values,
-    ascending, and the block's specs are ``combinations_with_replacement(
-    degrees, k)``, in that order.  When the bounds require it, linear cones
-    are never built: the degrees are drawn from the degree range without
-    the weight tuple's values."""
-    degree_range = range(1, bounds.max_degree + 1)
-    for w, k_top in _ambients(bounds):
-        if bounds.require_non_linear_cone:
-            degrees = tuple(d for d in degree_range if d not in w.entries)
-        else:
-            degrees = tuple(degree_range)
-        for k in range(1, k_top + 1):
-            yield w, k, degrees
-
-
-def _linear_cone_count(bounds: CensusBounds) -> int:
-    """How many linear cones the box holds: for each weight tuple with m
-    distinct values up to D = max_degree, the degree tuples of each length k
-    that meet one, C(D+k-1, k) - C(D-m+k-1, k)."""
-    top = bounds.max_degree
-    total = 0
-    for w, k_top in _ambients(bounds):
-        free = top - sum(1 for a in set(w.entries) if a <= top)
-        total += sum(comb(top + k - 1, k) - comb(free + k - 1, k) for k in range(1, k_top + 1))
-    return total
+                skip = entries if bounds.require_non_linear_cone else ()
+                for k in range(1, k_top + 1):
+                    yield w, k, filterfalse(skip.__contains__, degree_range)
 
 
 def _probe_seed(spec: WCISpec, base_seed: int) -> int:
@@ -255,9 +233,12 @@ def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
 
     The specs of a block of ``enumerate_specs`` share the ambient and the
     codimension, so each allowed degree's record (``analysis._degree_records``:
-    its facts, whether it equals a weight) is looked up once per block, and
-    each spec's key and adjunction data come from its records by
-    ``analysis._analysis``, as ``classify``'s do; no spec is built for it.
+    its facts, whether it equals a weight) is drawn once per block, as the
+    block's degrees are, and each spec's key and adjunction data come from
+    its records by ``analysis._analysis``, as ``classify``'s do; no spec is
+    built for it.  A block of codimension 1 streams its records, one spec
+    per record, so memory stays flat in ``max_degree``; a longer one holds
+    one record per allowed degree, since its spec count grows like D^k/k!.
     Over one block, a report depends on its spec only through the key and
     the adjunction data.  So the first spec of each key is built and
     classified, and ``entry`` of its report serves every later spec of the
@@ -267,15 +248,22 @@ def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
     budget, the theorem-applicable specs are built and spot-probed.  A probe
     can only certify non-quasi-smoothness, so it never contradicts a
     record's theorem status.  The linear cones, which the enumeration never
-    builds, are counted in closed form at the end."""
-    total = well_formed = weakly_only = neither = implies = probed = 0
+    builds, are counted in closed form as each block goes by: with D =
+    ``max_degree`` and ``free`` the values up to D that are no weight,
+    C(D+k-1, k) - C(free+k-1, k) degree tuples of the block meet a weight."""
+    top = bounds.max_degree
+    total = well_formed = weakly_only = neither = implies = probed = skipped = 0
     for w, k, degrees in enumerate_specs(bounds):
         values = w.entries
         dim_x = w.dim - k
+        if bounds.require_non_linear_cone:
+            free = top - len({a for a in values if a <= top})
+            skipped += comb(top + k - 1, k) - comb(free + k - 1, k)
         records = _degree_records(_ambient(w, dim_x), values, degrees)
         weight_sum, weight_prod = sum(values), prod(values)
         entries: dict = {}
-        for chosen in combinations_with_replacement(records, k):
+        # CPython's combinations_with_replacement copies its whole input first; zip streams it.
+        for chosen in zip(records) if k == 1 else combinations_with_replacement(records, k):
             degs, key, amplitude, num, den = _analysis(chosen, dim_x, weight_sum, weight_prod)
             if len(entries) >= PATTERN_CACHE_SIZE:
                 entries.clear()
@@ -294,7 +282,6 @@ def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
             implies += status == THEOREM_IMPLIES_NOT_QUASISMOOTH
             probed += verdict is not None
             yield w, degs, amplitude, num, den, found, verdict
-    skipped = _linear_cone_count(bounds) if bounds.require_non_linear_cone else 0
     return CensusSummary(
         total=total, well_formed=well_formed, weakly_only=weakly_only, neither=neither,
         linear_cone_skipped=skipped, theorem_implies_not_quasismooth=implies, probed=probed,

@@ -300,7 +300,7 @@ def _singular_index_sets(entries, sizes) -> set[tuple[int, ...]]:
     if count > MAX_SWEEP_SUBSETS:
         raise ValueError(
             f"the singular-subset sweep would enumerate {count} index subsets, more than "
-            f"{MAX_SWEEP_SUBSETS}; bound the subset size (strata --all --max-size)"
+            f"{MAX_SWEEP_SUBSETS}"
         )
     return {idx for cover in covers for s in sizes for idx in combinations(cover, s)}
 
@@ -331,7 +331,10 @@ def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -
         index_sets = _covering_index_sets(entries)
     else:
         bound = len(entries) if max_size is None else min(max_size, len(entries))
-        index_sets = _singular_index_sets(entries, range(1, bound + 1))
+        try:
+            index_sets = _singular_index_sets(entries, range(1, bound + 1))
+        except ValueError as exc:
+            raise ValueError(f"{exc}; bound the subset size (strata --all --max-size)") from None
     strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in index_sets]
     strata.sort(key=lambda s: (-s.dim, s.indices))
     return strata

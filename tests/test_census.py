@@ -29,12 +29,7 @@ from wcikit.analysis import (
     THEOREM_CONSISTENT,
     THEOREM_IMPLIES_NOT_QUASISMOOTH,
 )
-from wcikit.census import (
-    _ambients,
-    _ascending_tuples,
-    _encode_line,
-    _linear_cone_count,
-)
+from wcikit.census import _ascending_tuples, _encode_line
 from wcikit.jsonout import exact_ints
 
 TINY = CensusBounds(max_n=2, max_weight=2, max_weight_sum=4, max_k=1, max_degree=2)
@@ -200,13 +195,27 @@ class TestEnumerate:
     def test_linear_cone_count_against_brute_force(self):
         for bounds in CONE_BOXES:
             brute = sum(map(is_linear_cone, specs_of(bounds)))
-            assert _linear_cone_count(bounds) == brute > 0, bounds
+            _, summary = drain(run_census(replace(bounds, require_non_linear_cone=True)))
+            assert summary.linear_cone_skipped == brute > 0, bounds
         # With max_degree=2 every degree tuple of (1,1,2) meets a weight, so
-        # the weight tuple yields no spec at all and only the count sees it.
-        last = CONE_BOXES[-1]
-        assert any(w.entries == (1, 1, 2) for w, _ in _ambients(last))
-        filtered = specs_of(replace(last, require_non_linear_cone=True))
-        assert all(s.weights.entries != (1, 1, 2) for s in filtered)
+        # its blocks are yielded with no degree left: they hold no spec, and
+        # only the count sees them.
+        last = replace(CONE_BOXES[-1], require_non_linear_cone=True)
+        assert [(k, list(degrees)) for w, k, degrees in enumerate_specs(last)
+                if w.entries == (1, 1, 2)] == [(1, []), (2, [])]
+        assert all(s.weights.entries != (1, 1, 2) for s in specs_of(last))
+
+    def test_blocks_drawn_later_keep_their_degrees(self):
+        # Each block's degrees are a fresh one-shot iterator bound to its own
+        # weights, so blocks gathered first and expanded later give the same
+        # specs.
+        for bounds in CONE_BOXES:
+            for box in (bounds, replace(bounds, require_non_linear_cone=True)):
+                blocks = list(enumerate_specs(box))
+                late = [WCISpec(w, degs) for w, k, degrees in blocks
+                        for degs in combinations_with_replacement(degrees, k)]
+                assert late == specs_of(box), box
+                assert all(list(degrees) == [] for _, _, degrees in blocks)
 
     def test_trusted_specs_equal_validated_ones(self):
         # enumerate_specs yields each block's Weights and degree tuple, and
@@ -217,7 +226,7 @@ class TestEnumerate:
         for bounds in CONE_BOXES:
             for box in (bounds, replace(bounds, require_non_linear_cone=True)):
                 for w, k, degrees in enumerate_specs(box):
-                    assert type(w) is Weights and type(degrees) is tuple and k >= 1
+                    assert type(w) is Weights and k >= 1
                 rows = [(w, degs) for w, degs, *_ in wcikit.census._rows(box, None)]
                 assert [(s.weights, s.degrees) for s in specs_of(box)] == rows
                 for w, degs in rows:
@@ -299,7 +308,8 @@ class TestRunCensus:
         monkeypatch.setattr("wcikit.census.enumerate_specs", rewrapped)
         assert drain(run_census(bounds)) == expected
         assert calls == [(bounds,)]
-        assert expected[1].linear_cone_skipped == _linear_cone_count(CONE_BOXES[1]) > 0
+        brute = sum(map(is_linear_cone, specs_of(CONE_BOXES[1])))
+        assert expected[1].linear_cone_skipped == brute > 0
 
     def test_summary_partition(self):
         bounds = CensusBounds(max_n=4, max_weight=3, max_weight_sum=9, max_k=2, max_degree=4)
@@ -541,3 +551,20 @@ class TestPersistence:
         size = out.stat().st_size
         assert summary.total == len(out.read_bytes().splitlines())
         assert peak < size / 4, (peak, size)
+
+    def test_memory_flat_in_max_degree(self, tmp_path):
+        # A codimension-1 block streams its degrees and records, so twenty
+        # times the degrees peak no higher; holding one record per degree
+        # would add about 2 MB here.
+        def peak(max_degree):
+            bounds = CensusBounds(max_n=1, max_weight=1, max_weight_sum=2, max_k=1,
+                                  max_degree=max_degree)
+            tracemalloc.start()
+            try:
+                assert write_census(bounds, tmp_path / "c.jsonl").total == max_degree
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1_000), peak(20_000)
+        assert large - small < 500_000, (small, large)

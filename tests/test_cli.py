@@ -115,6 +115,14 @@ class TestStrata:
         code, out, err = run_cli(capsys, "analyze", w40, "--degrees", ",".join(["3"] * 20))
         assert code == 2 and out == "" and "68923264410 index subsets" in err
 
+    def test_analyze_sweep_refusal_names_no_strata_flag(self, capsys):
+        # The --max-size hint belongs to strata --all; analyze has no such flag.
+        w41 = ",".join(["1", "1"] + ["2"] * 39)
+        code, out, err = run_cli(capsys, "analyze", w41, "--degrees", ",".join(["3"] * 20))
+        assert code == 2 and out == ""
+        assert "68923264410 index subsets, more than 1048576" in err
+        assert "--max-size" not in err and "strata" not in err
+
     def test_non_well_formed_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "strata", "1,2,2")
         assert code == 2 and "well-formed" in err
@@ -667,6 +675,10 @@ CATALOGUE = [
     ("census-max-n-1000",
      ["census", "--max-n", "1000", "--max-weight", "1", "--max-weight-sum", "1001", "--max-k",
       "1", "--max-degree", "2", "--min-dim", "999", "--output", "{dir}/c.jsonl"], {}, 0),
+    ("census-empty-max-n-10^9",
+     ["census", "--max-n", "1000000000", "--max-weight", "1", "--max-weight-sum", "1000000001",
+      "--max-k", "1", "--max-degree", "1", "--min-dim", "1000000000", "--non-linear-cone",
+      "--output", "{dir}/c.jsonl"], {}, 0),
     ("census-max-degree-2^63",
      ["census", "--config", "{dir}/c.json", "--output", "{dir}/c.jsonl"],
      {"c.json": json.dumps({"max_n": 2, "max_weight": 2, "max_weight_sum": 4, "max_k": 1,
