@@ -57,30 +57,32 @@ class ConePoint:
 
 
 def matrix_rank(rows, field) -> int:
-    """Exact Gaussian-elimination rank, pivoting on the first nonzero entry in
-    each column.  A single row has rank 1 unless it is zero."""
-    m = [list(r) for r in rows]
-    if len(m) == 1:
-        return 1 if any(m[0]) else 0
-    if not m or not m[0]:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+    """Exact rank of the matrix whose rows are the given iterables.
+
+    Entries are drawn column by column, one from each row in turn; each column
+    is reduced against the independent columns before it, and drawing stops
+    once the rank equals the number of rows.  A single row has rank 1 unless
+    it is zero, and is drawn up to its first nonzero entry.
+    """
+    rows = list(rows)
+    if len(rows) == 1:
+        return 1 if any(rows[0]) else 0
+    # Each independent column, scaled to 1 at its pivot row and reduced to 0
+    # at the pivot rows before it.
+    basis = []
+    for column in zip(*rows):
+        for i, b in basis:
+            f = column[i]
+            if f:
+                column = [field.sub(v, field.mul(f, w)) for v, w in zip(column, b)]
+        pivot = next((i for i, v in enumerate(column) if v), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][c])
-        m[rank] = [field.mul(inv, v) for v in m[rank]]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [field.sub(m[i][j], field.mul(f, m[rank][j])) for j in range(cols)]
-        rank += 1
-        if rank == len(m):
+        inv = field.inv(column[pivot])
+        basis.append((pivot, [field.mul(inv, v) for v in column]))
+        if len(basis) == len(rows):
             break
-    return rank
+    return len(basis)
 
 
 def _jacobian(sys: PolySystem) -> tuple[tuple[SparsePoly, ...], ...]:
@@ -360,7 +362,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
                     continue
                 if F2(pt):
                     continue
-                if matrix_rank([[M0_0(pt), M0_1(pt)]], field) < 1:
+                if matrix_rank([R0(pt)], field) < 1:
                     out.append(pt)
             return out
 
@@ -377,8 +379,10 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     and the power table has one column per distinct reduced exponent (at
     most p - 1), which ``column`` maps; the example above reads a table of
     every exponent, where ``T[e]`` is x_N^e.  A further equation (F2 here)
-    and every matrix entry are ``_compiled_eval`` functions against the same
-    power table.  The rank is computed only at the equations' common zeros.
+    is a ``_compiled_eval`` function against the same power table, and each
+    matrix row a ``_row_entries`` generator (R0 here).  The rank is computed
+    only at the equations' common zeros, and ``matrix_rank`` draws the
+    entries column by column until the rank reaches the row count.
     """
     entries = [g for row in matrix for g in row]
     column = _columns([*equations, *entries], p)
@@ -416,22 +420,50 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
         if groups[-1][0]:
             value = f"({value}) % {p}"
         body += [f"        if {value}:", "            continue"]
-    rows = []
     for r, row in enumerate(matrix):
-        for c, g in enumerate(row):
-            namespace[f"M{r}_{c}"] = _compiled_eval(g, powt, column, p)
-        rows.append(f"[{', '.join(f'M{r}_{c}(pt)' for c in range(len(row)))}]")
+        namespace[f"R{r}"] = _row_entries(row, powt, column, p)
+    rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
     lines = [
         "def scan(points):",
         "    out = []",
         *([f"    {' = '.join(prefixes)} = None"] if prefixes else []),
         "    for pt in points:",
         *body,
-        f"        if matrix_rank([{', '.join(rows)}], field) < {rank}:",
+        f"        if matrix_rank([{rows}], field) < {rank}:",
         "            out.append(pt)",
         "    return out",
     ]
     return _generated(lines, namespace, "scan")(points)
+
+
+def _row_entries(row, powt, column, p):
+    """A function of a point returning an iterator over the row's entries at
+    it, in column order, each computed only when it is drawn.
+
+    A row whose terms total at most ``_CHUNK_TERMS`` is one generated
+    generator, reading the power-table row of each coordinate where it is
+    first used, e.g. for the row [3*x1^2, x0*x1 + 4*x0^2] over GF(5) against
+    a table of every exponent::
+
+        def row(pt):
+            P1 = powt[pt[1]]
+            yield sum((3*P1[2],)) % 5
+            P0 = powt[pt[0]]
+            yield sum((1*P0[1]*P1[1],4*P0[2],)) % 5
+
+    A larger row, or an empty one, draws from one ``_compiled_eval`` function
+    per entry.
+    """
+    if row and sum(len(g.terms) for g in row) <= _CHUNK_TERMS:
+        lines, read = ["def row(pt):"], set()
+        for g in row:
+            total, used = _sum_source(g.terms, column, p)
+            lines += [f"    P{i} = powt[pt[{i}]]" for i in used if i not in read]
+            read.update(used)
+            lines.append(f"    yield {total}")
+        return _generated(lines, {"powt": powt}, "row")
+    entries = [_compiled_eval(g, powt, column, p) for g in row]
+    return lambda pt: (ev(pt) for ev in entries)
 
 
 def _verified(sys: PolySystem, points) -> tuple[ConePoint, ...]:
@@ -618,7 +650,9 @@ def wf_witness_search(
 
     cone = map(embed, _orbit_slice(p, spec.weights.at(on_idx)))
     z_slice = _scan(p, field, cone, (), g_rows, r)
-    s_slice = _scan(p, field, z_slice, remaining, g_rows, r)
+    # S: the Z points where the remaining equations vanish (an empty matrix
+    # has rank 0 < 1 everywhere), so no rank is tested twice.
+    s_slice = _scan(p, field, z_slice, remaining, (), 1)
     weights = spec.weights.entries
     z_points = tuple(ConePoint(pt) for pt in _expand_orbits(z_slice, weights, p))
     s_points = _verified(fsys, _expand_orbits(s_slice, weights, p))

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -49,6 +50,45 @@ def weighted_action(point, weights, t, p):
     return tuple(x * pow(t, a, p) % p for x, a in zip(point, weights))
 
 
+def reference_rank(rows, field):
+    """The eager elimination ``matrix_rank`` replaced: every entry is drawn
+    first, then rows are pivoted on the first nonzero entry of each column."""
+    m = [list(r) for r in rows]
+    if len(m) == 1:
+        return 1 if any(m[0]) else 0
+    if not m or not m[0]:
+        return 0
+    cols = len(m[0])
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = field.inv(m[rank][c])
+        m[rank] = [field.mul(inv, v) for v in m[rank]]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [field.sub(m[i][j], field.mul(f, m[rank][j])) for j in range(cols)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+class CountedRow:
+    """A row that counts the entries drawn from it."""
+
+    def __init__(self, entries):
+        self.entries, self.drawn = entries, 0
+
+    def __iter__(self):
+        for v in self.entries:
+            self.drawn += 1
+            yield v
+
+
 class TestMatrixRank:
     def test_over_prime_field(self):
         f5 = GF(5)
@@ -66,16 +106,12 @@ class TestMatrixRank:
         assert matrix_rank(rows2, GF(7)) == 2
 
     def test_over_rationals(self):
-        from fractions import Fraction
-
         rows = [[Fraction(1, 2), Fraction(1)], [Fraction(1, 4), Fraction(1, 2)]]
         assert matrix_rank(rows, QQ) == 1
 
     @pytest.mark.parametrize("field", [GF(2), GF(5), GF(13), QQ])
     def test_one_row_equals_elimination(self, field):
         # A zero second row leaves the rank alone and forces the elimination.
-        from fractions import Fraction
-
         rng = random.Random(7)
         for n in range(0, 6):
             for _ in range(40):
@@ -86,6 +122,63 @@ class TestMatrixRank:
                     row = [field.coerce(v) for v in row]
                 assert matrix_rank([row], field) == matrix_rank([row, [0] * n], field)
                 assert matrix_rank([row], field) == (1 if any(row) else 0)
+
+    # Column by column: the answer equals the eager elimination's on every
+    # shape and field, and drawing stops at full rank.
+
+    @staticmethod
+    def random_matrix(rng, field, rows, cols):
+        def entry():
+            v = rng.choice((0, 0, 1, 2, 3, 4, 5, 6))
+            return Fraction(v, rng.randrange(1, 4)) if field is QQ else field.coerce(v)
+
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.5:
+            # Rank deficient: the last row a combination of the others.
+            coeffs = [entry() for _ in range(rows - 1)]
+            m[-1] = [field.coerce(0) for _ in range(cols)]
+            for c, row in zip(coeffs, m[:-1]):
+                m[-1] = [field.add(v, field.mul(c, w)) for v, w in zip(m[-1], row)]
+        return m
+
+    @pytest.mark.parametrize("field", [GF(2), GF(5), GF(7), QQ])
+    def test_against_eager_elimination(self, field):
+        rng = random.Random(23)
+        deficient = 0
+        for rows in range(0, 5):
+            for cols in range(0, 8):
+                for _ in range(12):
+                    m = self.random_matrix(rng, field, rows, cols)
+                    expected = reference_rank(m, field)
+                    deficient += expected < min(rows, cols)
+                    assert matrix_rank(m, field) == expected, m
+                    assert matrix_rank([tuple(r) for r in m], field) == expected, m
+                    assert matrix_rank([iter(r) for r in m], field) == expected, m
+                    assert matrix_rank((iter(r) for r in m), field) == expected, m
+        assert deficient > 50
+
+    @pytest.mark.parametrize("field", [GF(5), GF(7), QQ])
+    def test_full_rank_draws_exactly_k_entries_per_row(self, field):
+        rng = random.Random(5)
+        for k in range(1, 5):
+            for extra in (0, 1, 3):
+                while True:
+                    head = self.random_matrix(rng, field, k, k)
+                    if reference_rank(head, field) == k:
+                        break
+                tail = self.random_matrix(rng, field, k, extra)
+                rows = [CountedRow(h + t) for h, t in zip(head, tail)]
+                assert matrix_rank(rows, field) == k
+                assert [row.drawn for row in rows] == [k] * k
+
+    def test_single_row_stops_at_its_first_nonzero_entry(self):
+        f7 = GF(7)
+        row = CountedRow([3, 0, 5, 1])
+        assert matrix_rank([row], f7) == 1 and row.drawn == 1
+        row = CountedRow([0, 0, 2, 1])
+        assert matrix_rank([row], f7) == 1 and row.drawn == 3
+        row = CountedRow([0, 0, 0])
+        assert matrix_rank([row], f7) == 0 and row.drawn == 3
 
 
 class TestJacobianRank:
@@ -816,6 +909,65 @@ class TestScan:
         assert max(terms) == 20 and 8 in terms
         scan_terms = [t for t, s in zip(terms, sources) if s.startswith("def scan")]
         assert scan_terms == [7]
+        # The linear equation's row (7 constants) is one generator; the
+        # quadric's (7 entries of 7 terms) draws from one function per entry.
+        row_terms = [t for t, s in zip(terms, sources) if s.startswith("def row")]
+        assert row_terms == [7]
+
+    @pytest.mark.parametrize("chunk", [6, 1024])
+    def test_row_generators(self, monkeypatch, chunk):
+        # k = 1, 2 and 3, generic members and sparse ones with witnesses.
+        # Under a bound of 6 terms the rows of the sparse and the linear
+        # equations are generators and the rows of the generic quadrics and
+        # cubics draw from one function per entry; under the default bound
+        # every row is a generator.
+        monkeypatch.setattr(oracle, "_CHUNK_TERMS", chunk)
+        kinds = set()
+
+        def recording_compile(source, *args):
+            kinds.add(source.split("(")[0])
+            return compile(source, *args)
+
+        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
+        systems = [
+            (5, PolySystem.generic((1, 1, 1, 1), (3,), GF(5), 1)),
+            (5, NODE.reduce_mod(5)),
+            (5, PolySystem.generic((1, 1, 1, 1), (2, 3), GF(5), 2)),
+            (5, system(["x0*x1 + x2^2", "x0^2 + x3^2"], (1, 1, 1, 1), 5)),
+            (3, PolySystem.generic((1, 1, 1, 1, 1), (1, 1, 2), GF(3), 3)),
+            (3, system(["x0 + x1", "x2*x3", "x0*x1 + x4^2"], (1,) * 5, 3)),
+        ]
+        found = [scans_agree(s, p, nonzero_points(p, len(s.weights))) for p, s in systems]
+        assert [len(s.polys) for _, s in systems] == [1, 1, 2, 2, 3, 3]
+        assert found[1] and found[3] and found[5]
+        assert kinds == {"def scan", "def row", *(["def ev"] if chunk == 6 else [])}
+
+    def test_zero_column_matrices(self):
+        # Rows without entries have rank 0: every common zero is returned.
+        s = system(["x0*x2 + x1^2", "x2^2 + x0*x1"], (1, 1, 1), 5)
+        points = nonzero_points(5, 3)
+        zeros = common_zeros_agree(5, points, s.polys)
+        assert zeros
+        for matrix, rank in (([[]], 1), ([[], []], 1), ([[], []], 2)):
+            assert _scan(5, GF(5), points, s.polys, matrix, rank) == zeros
+            assert reference_scan(5, points, s.polys, matrix, rank) == zeros
+
+    @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2)])
+    def test_one_compile_per_row(self, monkeypatch, degrees):
+        # A member whose equations and rows fit the bound compiles the scan
+        # and one generator per row.
+        sources = []
+
+        def recording_compile(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
+        s = PolySystem.generic((1, 1, 1, 1), degrees, GF(5), 1)
+        assert sum(f.num_terms for f in s.polys) <= _CHUNK_TERMS
+        quasi_smooth_probe(s, [5])
+        kinds = sorted(source.split("(")[0] for source in sources)
+        assert kinds == ["def row"] * len(degrees) + ["def scan"]
 
     def test_scan_memory_is_bounded(self):
         # The 11,440-term octic goes through its chunks, not inline, so the
