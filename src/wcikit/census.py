@@ -210,19 +210,25 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
 _encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-def _entry(report: AnalysisReport) -> tuple[AnalysisReport, str, str, str]:
-    """The report and the pieces of its census line around the values that
-    differ between the specs of one key: the lead, through
-    ``"degrees":[``; the middle, from the bracket that closes the degrees
-    through ``"amplitude":``; and the tail, from ``"strata":`` through
-    ``"oracle_verdict":``.  They are cut from the line's one encoding, where
-    each marker occurs once, in this order, before the verdict's ``null}``."""
-    line = _encode_line(CensusRecord(report).to_json())
-    lead = line.index('"degrees":[') + len('"degrees":[')
-    middle = line.index("]", lead)
-    amplitude = line.index('"amplitude":', middle) + len('"amplitude":')
-    tail = line.index('"strata":', amplitude)
-    return report, line[:lead], line[middle:amplitude], line[tail : -len("null}")]
+# Stands for each per-spec value in a census line template; its encoding,
+# "\u0000", occurs nowhere else in a line.
+_HOLE = "\x00"
+
+
+def _entry(report: AnalysisReport) -> tuple:
+    """The report and the six pieces of its census line around the values
+    that differ between the specs of one key: the degrees, the amplitude,
+    the self-intersection's numerator and denominator, and the verdict, in
+    the order the line encodes them.  The record's ``to_json()`` gets
+    ``_HOLE`` for each value (the degrees become ``[_HOLE]``), is encoded
+    once and is cut at each hole's encoding, so the pieces follow the
+    record's layout whatever its other fields."""
+    record = CensusRecord(report).to_json()
+    fields = record["report"]
+    fields["spec"]["degrees"] = [_HOLE]
+    fields["amplitude"] = record["oracle_verdict"] = _HOLE
+    fields["canonical_self_intersection"] = {"num": _HOLE, "den": _HOLE}
+    return (report, *_encode_line(record).split(_encode_line(_HOLE)))
 
 
 def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
@@ -328,9 +334,9 @@ def write_census(
 
     Each line is the compact encoding of the ``CensusRecord.to_json()`` that
     ``run_census`` yields for the spec, byte for byte, but no record or
-    report is built for it: the line is the entry's lead, the degrees, the
-    entry's middle, the amplitude, the self-intersection, the entry's tail
-    and the verdict, where the entry (``_entry``) is encoded once per key.
+    report is built for it: the line is the spec's degrees, amplitude,
+    self-intersection and verdict spliced between the pieces of the entry
+    (``_entry``), which is encoded once per key.
 
     Ints of any size are written exactly (``jsonout.exact_ints`` is in
     force while the records are drawn and written).
@@ -358,14 +364,13 @@ def write_census(
             rows = _rows(bounds, probe)
             while True:
                 try:
-                    _, degs, amplitude, num, den, (_, lead, middle, tail), verdict = next(rows)
+                    _, degs, amplitude, num, den, (_, a, b, c, d, e, f), verdict = next(rows)
                 except StopIteration as done:
                     summary = done.value
                     break
                 write(
-                    f'{lead}{",".join(map(str, degs))}{middle}{amplitude},'
-                    f'"canonical_self_intersection":{{"num":{num},"den":{den}}},{tail}'
-                    f'{"null" if verdict is None else _encode_line(verdict.to_json())}}}\n'
+                    f'{a}{",".join(map(str, degs))}{b}{amplitude}{c}{num}{d}{den}{e}'
+                    f'{"null" if verdict is None else _encode_line(verdict.to_json())}{f}\n'
                 )
         with open(summary_path, "w", encoding="utf-8") as fh:
             dump(summary.to_json(), fh)

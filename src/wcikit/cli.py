@@ -32,7 +32,7 @@ from .oracle import (
     wf_witness_search,
 )
 from .poly import QQ, GF, PolySystem, parse_poly
-from .weights import Stratum, Weights, singular_strata, well_form
+from .weights import Stratum, Weights, parse_ints, singular_strata, well_form
 
 # Used whenever --seed is omitted, so unseeded runs stay reproducible.
 DEFAULT_SEED = 1
@@ -42,15 +42,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse {what} from {text!r}") from None
-
-
 def _spec(args) -> WCISpec:
-    return WCISpec(Weights.parse(args.weights), _parse_int_list(args.degrees, "degrees"))
+    return WCISpec(Weights.parse(args.weights), parse_ints(args.degrees, "degrees"))
 
 
 def _emit(args, obj) -> None:
@@ -116,7 +109,7 @@ def cmd_strata(args) -> int:
 def cmd_witness(args) -> int:
     spec = _spec(args)
     if args.stratum:
-        stratum = Stratum.of(spec.weights, _parse_int_list(args.stratum, "stratum indices"))
+        stratum = Stratum.of(spec.weights, parse_ints(args.stratum, "stratum indices"))
     else:
         candidates = singular_strata(spec.weights, maximal_only=True)
         if not candidates:
@@ -129,7 +122,7 @@ def cmd_witness(args) -> int:
 
 def cmd_probe(args) -> int:
     spec = _spec(args)
-    primes = _parse_int_list(args.primes, "primes")
+    primes = parse_ints(args.primes, "primes")
     member = _load_system(args, spec)
     # A generic member is drawn over one prime field, so each field is probed
     # on its own and the verdicts join as one call over all of them would.
@@ -183,7 +176,7 @@ def cmd_census(args) -> int:
     probe = None
     if args.probe:
         probe = ProbeBudget(
-            primes=_parse_int_list(args.probe_primes, "probe primes"),
+            primes=parse_ints(args.probe_primes, "probe primes"),
             max_points=args.probe_max_points,
             seed=args.probe_seed,
         )

@@ -17,6 +17,7 @@ with terms sorted by exponent vector.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -342,102 +343,75 @@ def generic_poly(weights, degree: int, field: PrimeField, seed: int) -> SparsePo
 def parse_poly(text: str, weights, field) -> SparsePoly:
     """Parse the module grammar into a weighted-homogeneous polynomial.
 
-    Raises ParseError with a position for syntax problems and unknown
-    variables, DegreeMismatchError when two monomials disagree in weighted
-    degree.
+    The whole text is tokenized first, so a stray character (a non-decimal
+    digit such as ``²`` too) is reported before any grammar error; one loop
+    then reads the terms, in input order.  Raises ParseError with a position
+    for syntax problems and unknown variables, DegreeMismatchError when two
+    monomials disagree in weighted degree.
     """
     w = as_weights(weights)
     n = len(w)
     tokens = _tokenize(text)
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def advance():
-        state["i"] += 1
-
-    def parse_term():
-        coeff = 1
-        exps = [0] * n
-        while True:
-            kind, value, pos = peek()
-            if kind == "int":
-                coeff *= value
-                advance()
-            elif kind == "var":
-                if value >= n:
-                    raise ParseError(f"unknown variable x{value}: only {n} coordinates", pos)
-                advance()
-                exp = 1
-                if peek()[0] == "^":
-                    advance()
-                    ekind, evalue, epos = peek()
-                    if ekind != "int" or evalue < 1:
-                        raise ParseError("exponent must be a positive integer", epos)
-                    exp = evalue
-                    advance()
-                exps[value] += exp
-            else:
-                raise ParseError("expected a variable or integer", pos)
-            if peek()[0] == "*":
-                advance()
-                continue
-            break
-        return coeff, tuple(exps)
-
+    sign, i = (-1, 1) if tokens[0][0] == "-" else (1, 0)
+    if tokens[i][0] == "end":
+        raise ParseError("empty polynomial", tokens[i][2])
     raw_terms = []
-    sign = 1
-    if peek()[0] == "-":
-        sign = -1
-        advance()
-    if peek()[0] == "end":
-        raise ParseError("empty polynomial", peek()[2])
+    coeff, exps = 1, [0] * n
     while True:
-        coeff, exps = parse_term()
-        raw_terms.append((exps, sign * coeff))
-        kind, _, pos = peek()
-        if kind == "end":
-            break
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
+        kind, value, pos = tokens[i]
+        if kind == "int":
+            coeff *= value
+        elif kind == "var":
+            if value >= n:
+                raise ParseError(f"unknown variable x{value}: only {n} coordinates", pos)
+            exp = 1
+            if tokens[i + 1][0] == "^":
+                i += 2
+                ekind, exp, epos = tokens[i]
+                if ekind != "int" or exp < 1:
+                    raise ParseError("exponent must be a positive integer", epos)
+            exps[value] += exp
         else:
+            raise ParseError("expected a variable or integer", pos)
+        i += 1
+        kind, _, pos = tokens[i]
+        if kind == "*":
+            i += 1
+            continue
+        raw_terms.append((tuple(exps), sign * coeff))
+        if kind == "end":
+            return SparsePoly.from_terms(field, w, raw_terms)
+        if kind not in ("+", "-"):
             raise ParseError("expected '+', '-', or end of input", pos)
-        advance()
-    return SparsePoly.from_terms(field, w, raw_terms)
+        sign = 1 if kind == "+" else -1
+        coeff, exps = 1, [0] * n
+        i += 1
+
+
+# One token per match: an integer, a variable (a bare x has the empty index),
+# an operator or a stray character.  finditer steps over whitespace, which no
+# alternative matches.  \d is str.isdecimal and \S is not str.isspace.
+_TOKEN = re.compile(r"(\d+)|x(\d*)|([-+*^])|\S")
 
 
 def _tokenize(text: str):
+    """The ``(kind, value, position)`` tokens of ``text`` and a final ``end``."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable needs a decimal index", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        number, index, op = m.groups()
+        pos = m.start()
+        if number:
+            tokens.append(("int", int(number), pos))
+        elif index:
+            tokens.append(("var", int(index), pos))
+        elif op:
+            tokens.append((op, None, pos))
+        elif index is None:
+            raise ParseError(f"unexpected character {m.group()!r}", pos)
+        elif text[m.end() : m.end() + 1].isdigit():  # a non-decimal digit such as ²
+            raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
+        else:
+            raise ParseError("variable needs a decimal index", pos)
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -25,6 +25,15 @@ OVERALL_GCD = "overall-gcd"
 EXCLUDED_INDEX = "excluded-index"
 
 
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse comma-separated decimal ints, e.g. ``"1,1,2,2,2"``; a ValueError
+    names ``what`` and the text."""
+    try:
+        return tuple(int(part.strip()) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse {what} from {text!r}") from None
+
+
 @dataclass(frozen=True)
 class Weights:
     """Coordinate weights (a0, ..., aN) of a graded polynomial ring.
@@ -52,11 +61,7 @@ class Weights:
     @classmethod
     def parse(cls, text: str) -> "Weights":
         """Parse comma-separated decimal weights, e.g. ``"1,1,2,2,2"``."""
-        try:
-            entries = tuple(int(part.strip()) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse weights from {text!r}") from None
-        return cls(entries)
+        return cls(parse_ints(text, "weights"))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.entries)

@@ -240,6 +240,20 @@ class TestEnumerate:
             CensusBounds.from_json({**box, "max_degree": 2**63})
         assert CensusBounds.from_json({**box, "max_degree": 2**63 - 1}).max_degree == 2**63 - 1
 
+    def test_dimensions_stop_at_the_weight_sum(self):
+        # An ambient of dimension n has n + 1 weights, so its weight sum is at
+        # least n + 1: the dimensions stop once that passes max_weight_sum,
+        # however large max_n is.
+        for box in (
+            CensusBounds(max_n=6, max_weight=3, max_weight_sum=5, max_k=2, max_degree=4),
+            CensusBounds(max_n=9, max_weight=1, max_weight_sum=4, max_k=3, max_degree=3),
+        ):
+            assert [s.key() for s in specs_of(box)] == independent_spec_keys(box), box
+        huge = CensusBounds(max_n=10**9, max_weight=4, max_weight_sum=4, max_k=2, max_degree=3)
+        blocks = [(w.entries, k) for w, k, _ in enumerate_specs(huge)]
+        assert blocks == [(w.entries, k) for w, k, _ in enumerate_specs(replace(huge, max_n=3))]
+        assert max(len(w) for w, _ in blocks) == 4
+
     def test_completeness_against_independent_counter(self):
         # The expanded blocks are the brute-force specs, in order, with and
         # without the cone filter.

@@ -173,6 +173,11 @@ class TestWitness:
         )
         assert code == 2 and "singular" in err
 
+    def test_smooth_ambient_without_stratum_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "1,1,1", "--degrees", "2", "--prime", "5")
+        assert code == 2 and out == ""
+        assert err == "error: the ambient space is smooth; no singular stratum to search\n"
+
     def test_poly_file(self, capsys, tmp_path):
         poly_file = tmp_path / "sys.txt"
         poly_file.write_text("x0*x1\n")
@@ -333,6 +338,23 @@ class TestCensus:
         }
         assert "1,1,2,2,2/3,4" in keys
         assert (tmp_path / "census.jsonl.summary.json").exists()
+
+    def test_missing_output_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "census", "--max-n", "2", "--max-weight", "2",
+            "--max-weight-sum", "4", "--max-k", "1", "--max-degree", "2",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: census needs --output PATH for the JSONL records\n"
+
+    def test_config_array_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps([2, 2, 4, 1, 2]))
+        out = tmp_path / "census.jsonl"
+        code, stdout, err = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "error: census config must be a JSON object\n"
+        assert not out.exists()
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "bounds.json"

@@ -194,6 +194,13 @@ class TestJacobianRank:
         )
         assert jacobian_rank(sys_, (1, 1, 0)) == 2
 
+    def test_point_off_the_cone_is_no_witness(self):
+        # Over GF(5) every partial of x0^5 + x1^5 vanishes, so the Jacobian
+        # has rank 0 everywhere; (1, 0) is no witness since it is off the cone.
+        sys_ = PolySystem((parse_poly("x0^5 + x1^5", (1, 1), GF(5)),))
+        assert jacobian_rank(sys_, (1, 0)) == 0
+        assert not is_singular_witness(sys_, (1, 0))
+
 
 class TestQuasiSmoothProbe:
     def test_fermat_clean(self):
@@ -353,6 +360,12 @@ class TestWitnessSearch:
         lam = Stratum.of(spec.weights, (2, 3, 4, 5))
         sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(p), seed)
         return spec, sys_, lam
+
+    def test_system_over_other_weights_refused(self):
+        spec, _, lam = self.fixture(1, 5)
+        other = PolySystem.generic((1, 1, 1, 1, 1, 1), spec.degrees, GF(5), 1)
+        with pytest.raises(ValueError, match="^system weights do not match the family weights$"):
+            wf_witness_search(spec, other, lam, 5)
 
     def test_family_fixture_engages(self):
         spec, sys_, lam = self.fixture(1, 5)

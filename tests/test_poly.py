@@ -25,6 +25,7 @@ from wcikit import (
     weighted_degree,
 )
 from wcikit.poly import MAX_GENERIC_TERMS
+from wcikit.weights import as_weights
 
 W112 = (1, 1, 2)
 
@@ -128,6 +129,190 @@ class TestParse:
         assert parse_poly(" x0 ^ 3+2 * x0*x2 ", W112, QQ) == parse_poly(
             "x0^3 + 2*x0*x2", W112, QQ
         )
+
+
+# The recursive-descent parser and character-loop tokenizer that the
+# token-regex parser replaced, kept verbatim (only the parser renamed) as
+# the differential reference.
+def reference_parse_poly(text: str, weights, field) -> SparsePoly:
+    """Parse the module grammar into a weighted-homogeneous polynomial.
+
+    Raises ParseError with a position for syntax problems and unknown
+    variables, DegreeMismatchError when two monomials disagree in weighted
+    degree.
+    """
+    w = as_weights(weights)
+    n = len(w)
+    tokens = _tokenize(text)
+    state = {"i": 0}
+
+    def peek():
+        return tokens[state["i"]]
+
+    def advance():
+        state["i"] += 1
+
+    def parse_term():
+        coeff = 1
+        exps = [0] * n
+        while True:
+            kind, value, pos = peek()
+            if kind == "int":
+                coeff *= value
+                advance()
+            elif kind == "var":
+                if value >= n:
+                    raise ParseError(f"unknown variable x{value}: only {n} coordinates", pos)
+                advance()
+                exp = 1
+                if peek()[0] == "^":
+                    advance()
+                    ekind, evalue, epos = peek()
+                    if ekind != "int" or evalue < 1:
+                        raise ParseError("exponent must be a positive integer", epos)
+                    exp = evalue
+                    advance()
+                exps[value] += exp
+            else:
+                raise ParseError("expected a variable or integer", pos)
+            if peek()[0] == "*":
+                advance()
+                continue
+            break
+        return coeff, tuple(exps)
+
+    raw_terms = []
+    sign = 1
+    if peek()[0] == "-":
+        sign = -1
+        advance()
+    if peek()[0] == "end":
+        raise ParseError("empty polynomial", peek()[2])
+    while True:
+        coeff, exps = parse_term()
+        raw_terms.append((exps, sign * coeff))
+        kind, _, pos = peek()
+        if kind == "end":
+            break
+        if kind == "+":
+            sign = 1
+        elif kind == "-":
+            sign = -1
+        else:
+            raise ParseError("expected '+', '-', or end of input", pos)
+        advance()
+    return SparsePoly.from_terms(field, w, raw_terms)
+
+
+def _tokenize(text: str):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            tokens.append((ch, None, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError("variable needs a decimal index", i)
+            tokens.append(("var", int(text[i + 1 : j]), i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+# Pieces of random parser input: variables (x3 and up are unknown on three
+# coordinates, x4 and up on four), integers with leading zeros, the
+# operators, ASCII and Unicode whitespace (\x1c is str.isspace), a decimal
+# digit int() reads (Arabic-Indic 3), a digit it refuses (superscript 2)
+# and a stray character.
+PIECES = (
+    ["x"] + [f"x{i}" for i in range(13)] + ["0", "1", "2", "3", "7", "00", "05", "012", "10"]
+    + ["+", "-", "*", "^"] + [" ", "\t", "\n", "\x1c", "\u00a0", "\u2003", "\u0663", "\u00b2", "@"]
+)
+
+
+def random_input(rng: random.Random) -> str:
+    """Half concatenations of random pieces, half grammatical polynomials
+    with random spacing, one piece in four of them replaced or dropped."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices(PIECES, k=rng.randrange(9)))
+    pieces = ["-"] if rng.random() < 0.3 else []
+    for t in range(rng.randrange(1, 4)):
+        if t:
+            pieces.append(rng.choice("+-"))
+        for f in range(rng.randrange(1, 4)):
+            if f:
+                pieces.append("*")
+            if rng.random() < 0.3:
+                pieces.append(str(rng.randrange(12)))
+            else:
+                pieces.append(f"x{rng.randrange(5)}")
+                if rng.random() < 0.4:
+                    pieces += ["^", str(rng.randrange(4))]
+    for i in range(len(pieces)):
+        roll = rng.random()
+        if roll < 0.1:
+            pieces[i] = rng.choice(PIECES)
+        elif roll < 0.15:
+            pieces[i] = ""
+    return "".join(p + s for p, s in zip(pieces, rng.choices(["", "", " ", "\t"], k=len(pieces))))
+
+
+def parse_outcome(parse, text, weights, field):
+    try:
+        return parse(text, weights, field)
+    except Exception as exc:  # compared by type, message and position
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestParserDifferential:
+    def test_agrees_with_reference_parser(self):
+        # A bare ValueError from int() on a digit run with a non-decimal digit
+        # is the one announced difference: that digit is now an unexpected
+        # character, and every run before it was decimal.
+        rng = random.Random(20240)
+        rings = [(W112, QQ), (W112, GF(5)), ((1, 1, 1, 1), QQ), ((1, 1, 1, 1), GF(5))]
+        kinds = set()
+        for case in range(40_000):
+            text = random_input(rng)
+            weights, field = rings[case % 4]
+            expected = parse_outcome(reference_parse_poly, text, weights, field)
+            kind = expected[0] if isinstance(expected, tuple) else "poly"
+            kinds.add(kind)
+            if kind is ValueError:
+                k = next(i for i, c in enumerate(text) if c.isdigit() and not c.isdecimal())
+                expected = ParseError, f"unexpected character {text[k]!r} (at position {k})", k
+            assert parse_outcome(parse_poly, text, weights, field) == expected, repr(text)
+        assert kinds == {"poly", ParseError, DegreeMismatchError, ValueError}
+
+    @pytest.mark.parametrize("text, char, position", [
+        # A non-decimal digit, alone or after a variable, an index or an integer.
+        ("\u00b2", "\u00b2", 0), ("x\u00b2", "\u00b2", 1), ("x1\u00b2", "\u00b2", 2),
+        ("3\u00b2 + x0", "\u00b2", 1), ("x0 + \u00b2\u0663", "\u00b2", 5),
+        # A stray character is reported before the grammar error ahead of it.
+        ("x0 x1 @", "@", 6),
+    ])
+    def test_unexpected_character(self, text, char, position):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, W112, QQ)
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
 
 
 class TestPrintRoundTrip:
@@ -379,3 +564,32 @@ class TestFieldsAndSystem:
 
     def test_weighted_degree(self):
         assert weighted_degree((1, 0, 2), W112) == 5
+
+
+X0 = SparsePoly.from_terms(QQ, W112, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SparsePoly.from_terms(QQ, W112, {(1, 0): 1}),
+     PolyError, "exponent vector (1, 0) does not match 3 coordinates"),
+    (lambda: SparsePoly.from_terms(QQ, W112, {(2, -1, 1): 1}),
+     PolyError, "exponents must be non-negative integers: (2, -1, 1)"),
+    (lambda: SparsePoly.from_terms(QQ, W112, {(1, 0, 0): 1}, degree=2),
+     PolyError, "declared degree 2 does not match monomial degree 1"),
+    (lambda: SparsePoly.from_terms(QQ, W112, {}, degree=-1),
+     PolyError, "degree must be non-negative, got -1"),
+    (lambda: PolySystem(()), ValueError, "a polynomial system needs at least one polynomial"),
+    (lambda: PolySystem((X0, to_prime_field(X0, 5))),
+     ValueError, "all system polynomials must share the same coefficient field"),
+    (lambda: restrict(X0, (0, 3)), ValueError, "stratum indices [0, 3] out of range"),
+    (lambda: generic_poly(W112, 0, GF(5), seed=1), ValueError, "degree must be positive, got 0"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_to_prime_field_keeps_a_polynomial_already_there():
+    f = to_prime_field(X0, 5)
+    assert to_prime_field(f, 5) is f
