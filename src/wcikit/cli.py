@@ -31,7 +31,7 @@ from .oracle import (
     quasi_smooth_probe,
     wf_witness_search,
 )
-from .poly import QQ, GF, PolySystem, parse_poly
+from .poly import QQ, GF, PolyError, PolySystem, parse_poly
 from .weights import Stratum, Weights, parse_ints, singular_strata, well_form
 
 # Used whenever --seed is omitted, so unseeded runs stay reproducible.
@@ -64,15 +64,23 @@ def _verbose(args, message: str) -> None:
 def _load_system(args, spec: WCISpec):
     """The member to scan over each prime field, as a function of the prime:
     the polynomials of --poly-file (one per line, rational coefficients, read
-    once) or a generic system over GF(prime) from --seed."""
+    once) or a generic system over GF(prime) from --seed.  A line that does
+    not parse is named by its 1-based number in the file, blank and ``#``
+    lines counted, and the position is within that line.  Lines end at a
+    newline only (reading turns CR LF and CR into one), so the number is
+    an editor's; other line separators, such as a form feed, are whitespace
+    inside a line."""
     if args.poly_file:
-        lines = [
-            line.strip()
-            for line in Path(args.poly_file).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        polys = tuple(parse_poly(line, spec.weights, QQ) for line in lines)
-        sys_ = PolySystem(polys)
+        polys = []
+        text = Path(args.poly_file).read_text(encoding="utf-8")
+        for number, line in enumerate(text.split("\n"), 1):
+            if not line.strip() or line.strip().startswith("#"):
+                continue
+            try:
+                polys.append(parse_poly(line, spec.weights, QQ))
+            except PolyError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+        sys_ = PolySystem(tuple(polys))
         if sys_.degrees != spec.degrees:
             raise ValueError(
                 f"polynomial degrees {sys_.degrees} do not match --degrees {spec.degrees}"

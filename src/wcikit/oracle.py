@@ -295,24 +295,31 @@ def _power_table(p, column):
     return [[pow(x, e, p) for e in column] for x in range(p)]
 
 
-def _orbit_slice(p: int, weights):
-    """Nonzero points of F_p^n whose first nonzero coordinate x_i is a coset
-    representative of (F_p^*)^{a_i}; later coordinates are free.
+def _orbit_slice(p: int, weights, indices=None):
+    """Nonzero points of F_p^n whose coordinates outside ``indices`` (by
+    default none) are 0 and whose first nonzero coordinate x_i is a coset
+    representative of (F_p^*)^{a_i}; later coordinates of ``indices`` are free.
 
-    Every orbit of the weighted action lambda.x = (lambda^{a_i} x_i) meets the
-    slice, and x_i takes gcd(a_i, p-1) values instead of p-1.
+    Every orbit of the weighted action lambda.x = (lambda^{a_i} x_i) on those
+    points meets the slice, and x_i takes gcd(a_i, p-1) values instead of p-1.
+    The points come in ``itertools.product`` order, one product per leading
+    coordinate over the values each coordinate takes.
     """
     n = len(weights)
-    for i, a in enumerate(weights):
-        powers = {pow(t, a, p) for t in range(1, p)}
-        covered = set()
+    on = range(n) if indices is None else indices
+    for i in on:
+        powers = {pow(t, weights[i], p) for t in range(1, p)}
+        reps, covered = [], set()
         for rep in range(1, p):
-            if rep in covered:
-                continue
-            covered.update(rep * h % p for h in powers)
-            head = (0,) * i + (rep,)
-            for tail in itertools.product(range(p), repeat=n - i - 1):
-                yield head + tail
+            if rep not in covered:
+                covered.update(rep * h % p for h in powers)
+                reps.append(rep)
+        choices = [(0,)] * n
+        choices[i] = reps
+        for j in on:
+            if j > i:
+                choices[j] = range(p)
+        yield from itertools.product(*choices)
 
 
 def _orbit_slice_size(p: int, weights) -> int:
@@ -335,13 +342,16 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     """The points, in scan order, where every equation vanishes and the matrix
     of polynomials has rank below ``rank``.
 
-    One generated function runs the loop, e.g. for f0 = 2*x0^3*x3 + 4*x3^4 +
-    x1^2*x2^2, further equations f1 and f2, and the one-row matrix [[g0, g1]]
-    over GF(5)::
+    A matrix of one row with ``rank`` 1 has rank below 1 exactly where every
+    entry vanishes, so its entries are scanned as further equations after
+    the given ones.  One generated function runs the loop, e.g. for f0 =
+    2*x0^3*x3 + 4*x3^4 + x1^2*x2^2, a further equation f1, and the one-row
+    matrix [[g0, g1]] with ``rank`` 1 over GF(5), where g0 = 3*x1^2 and g1 is
+    past the bound below::
 
         def scan(points):
             out = []
-            Q = Q1 = None
+            Q = Q1 = Q2 = None
             for pt in points:
                 if Q != pt[:-1]:
                     Q = pt[:-1]
@@ -360,10 +370,14 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
                     C1_2 = ...
                 if (C1_0 + C1_2*T[2]) % 5:
                     continue
-                if F2(pt):
+                if Q2 is not Q:
+                    Q2 = Q
+                    C2_0 = sum((3*P1[2],)) % 5
+                if C2_0:
                     continue
-                if matrix_rank([R0(pt)], field) < 1:
-                    out.append(pt)
+                if F3(pt):
+                    continue
+                out.append(pt)
             return out
 
     Equations are tested inline while their terms total at most
@@ -378,12 +392,19 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     coefficients of equations they never reach.  Exponents are ``_reduced``,
     and the power table has one column per distinct reduced exponent (at
     most p - 1), which ``column`` maps; the example above reads a table of
-    every exponent, where ``T[e]`` is x_N^e.  A further equation (F2 here)
-    is a ``_compiled_eval`` function against the same power table, and each
-    matrix row a ``_row_entries`` generator (R0 here).  The rank is computed
-    only at the equations' common zeros, and ``matrix_rank`` draws the
-    entries column by column until the rank reaches the row count.
+    every exponent, where ``T[e]`` is x_N^e.  A further equation (F3 here)
+    is a ``_compiled_eval`` function against the same power table.
+
+    Any other matrix is tested at the equations' common zeros, as
+    ``if matrix_rank([R0(pt), R1(pt)], field) < rank:`` for two rows, each
+    row a ``_row_entries`` generator, and ``matrix_rank`` draws the entries
+    column by column until the rank reaches the row count.  With no rows
+    left, the rank 0 is compared with ``rank`` once, here.
     """
+    if len(matrix) == 1 and rank == 1:
+        equations, matrix = (*equations, *matrix[0]), ()
+    if not matrix and rank < 1:
+        return []
     entries = [g for row in matrix for g in row]
     column = _columns([*equations, *entries], p)
     powt = _power_table(p, column)
@@ -420,17 +441,20 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
         if groups[-1][0]:
             value = f"({value}) % {p}"
         body += [f"        if {value}:", "            continue"]
-    for r, row in enumerate(matrix):
-        namespace[f"R{r}"] = _row_entries(row, powt, column, p)
-    rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
+    if matrix:
+        for r, row in enumerate(matrix):
+            namespace[f"R{r}"] = _row_entries(row, powt, column, p)
+        rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
+        test = [f"        if matrix_rank([{rows}], field) < {rank}:", "            out.append(pt)"]
+    else:
+        test = ["        out.append(pt)"]
     lines = [
         "def scan(points):",
         "    out = []",
         *([f"    {' = '.join(prefixes)} = None"] if prefixes else []),
         "    for pt in points:",
         *body,
-        f"        if matrix_rank([{rows}], field) < {rank}:",
-        "            out.append(pt)",
+        *test,
         "    return out",
     ]
     return _generated(lines, namespace, "scan")(points)
@@ -641,19 +665,14 @@ def wf_witness_search(
 
     # Z and S are unions of orbits of the weighted action (the entries of row
     # j scale by lambda^(d_j - a_i), the remaining equations by lambda^(d_j)),
-    # so one orbit slice of the stratum's cone decides them.
-    def embed(assignment):
-        pt = [0] * n1
-        for i, v in zip(on_idx, assignment):
-            pt[i] = v
-        return tuple(pt)
-
-    cone = map(embed, _orbit_slice(p, spec.weights.at(on_idx)))
-    z_slice = _scan(p, field, cone, (), g_rows, r)
+    # so one orbit slice of the stratum's cone, scanned in place with the
+    # off-stratum coordinates at 0, decides them.  For r = 1 the scan of Z
+    # tests the one row's entries as equations.
+    weights = spec.weights.entries
+    z_slice = _scan(p, field, _orbit_slice(p, weights, on_idx), (), g_rows, r)
     # S: the Z points where the remaining equations vanish (an empty matrix
     # has rank 0 < 1 everywhere), so no rank is tested twice.
     s_slice = _scan(p, field, z_slice, remaining, (), 1)
-    weights = spec.weights.entries
     z_points = tuple(ConePoint(pt) for pt in _expand_orbits(z_slice, weights, p))
     s_points = _verified(fsys, _expand_orbits(s_slice, weights, p))
     return WitnessSearchReport(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -401,9 +402,9 @@ def _tokenize(text: str):
         number, index, op = m.groups()
         pos = m.start()
         if number:
-            tokens.append(("int", int(number), pos))
+            tokens.append(("int", _decimal(number, pos), pos))
         elif index:
-            tokens.append(("var", int(index), pos))
+            tokens.append(("var", _decimal(index, pos + 1), pos))
         elif op:
             tokens.append((op, None, pos))
         elif index is None:
@@ -414,6 +415,20 @@ def _tokenize(text: str):
             raise ParseError("variable needs a decimal index", pos)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _decimal(digits: str, pos: int) -> int:
+    """The int of a run of decimal digits at ``pos``.  A run longer than the
+    interpreter's limit on int-string conversion, the only ValueError of
+    ``int`` here, is a ParseError at ``pos`` naming that limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())",
+            pos,
+        ) from None
 
 
 def partial_derivative(f: SparsePoly, index: int) -> SparsePoly:

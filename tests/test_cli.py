@@ -187,6 +187,44 @@ class TestWitness:
         )
         assert data["status"] == "singular_witness"
 
+    def test_poly_file_error_names_its_line(self, capsys, tmp_path):
+        # Lines count from 1, blank and comment lines included, and the
+        # position is within the line.
+        poly_file = tmp_path / "sys.txt"
+        for text, expected in (
+            ("# a pair\nx0^2 @ x1\n", "line 2: unexpected character '@' (at position 5)"),
+            ("x0*x1\n\n  x0 + \n", "line 3: expected a variable or integer (at position 7)"),
+            ("x0^2\n\n#\nx0 + x1^2\n",
+             "line 4: mixed weighted degrees: x0 has degree 1 but x1^2 has degree 2"),
+            # Only newlines end a line; a form feed is whitespace.
+            ("x0*x1\f\r\nx2^2\f+ @\n", "line 2: unexpected character '@' (at position 7)"),
+        ):
+            poly_file.write_text(text)
+            code, out, err = run_cli(
+                capsys, "probe", "1,1,1", "--degrees", "2",
+                "--poly-file", str(poly_file), "--primes", "5",
+            )
+            assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+    def test_poly_file_literal_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        poly_file = tmp_path / "sys.txt"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text, position in (("1" * 5000 + "*x0^2", 0), ("x0^" + "1" * 5000, 3)):
+                poly_file.write_text(text + "\n")
+                code, out, err = run_cli(
+                    capsys, "probe", "1,1,1", "--degrees", "2",
+                    "--poly-file", str(poly_file), "--primes", "5",
+                )
+                assert (code, out) == (2, "")
+                assert err == (
+                    "error: line 1: integer literal of 5000 digits exceeds the limit of 4300"
+                    f" digits (sys.get_int_max_str_digits()) (at position {position})\n"
+                )
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_poly_file_degree_mismatch_exits_2(self, capsys, tmp_path):
         poly_file = tmp_path / "sys.txt"
         poly_file.write_text("x0^3\n")

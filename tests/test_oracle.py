@@ -694,20 +694,70 @@ class TestOrbitSliceMatchesFullScan:
         draws = {tuple(rng.randrange(3) for _ in range(3)) for _ in range(200)}
         assert (0, 0, 0) in draws and verdict.points_scanned == len(draws) - 1
 
+    # (weights, degrees, stratum, r): the one-row search of r = 1, whose Z
+    # scan tests the row's entries as equations, the matrix search of r = 2,
+    # and a stratum without the last coordinate, whose slice points share no
+    # prefix.
+    SEARCHES = [
+        ((1, 1, 2, 2, 2, 2), (3, 4), (2, 3, 4, 5), 1),
+        ((1, 1, 2, 2, 2, 2), (3, 3), (2, 3, 4, 5), 2),
+        ((1, 1, 2, 4, 4), (6, 6, 8), (3, 4), 2),
+        ((1, 2, 2, 2, 2, 1), (3, 4), (1, 2, 3, 4), 1),
+    ]
+
     @pytest.mark.parametrize("p", [7, 11])
     def test_witness_search_equals_reference(self, p):
-        spec = WCISpec((1, 1, 2, 2, 2, 2), (3, 4))
-        lam = Stratum.of(spec.weights, (2, 3, 4, 5))
-        s_total = 0
-        for seed in (1, 2, 3):
-            sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(p), seed)
-            report = wf_witness_search(spec, sys_, lam, p)
-            z_points, s_points, scanned = reference_search(sys_, lam.indices, p)
-            assert report.z_points == z_points
-            assert report.s_points == s_points
-            assert report.points_scanned == scanned
-            s_total += len(s_points)
-        assert s_total
+        for weights, degrees, indices, r in self.SEARCHES:
+            spec = WCISpec(weights, degrees)
+            lam = Stratum.of(spec.weights, indices)
+            s_total = 0
+            for seed in (1, 2, 3):
+                sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(p), seed)
+                report = wf_witness_search(spec, sys_, lam, p)
+                z_points, s_points, scanned = reference_search(sys_, lam.indices, p)
+                assert report.r == r and z_points
+                assert report.z_points == z_points
+                assert report.s_points == s_points
+                assert report.points_scanned == scanned
+                s_total += len(s_points)
+            # Over GF(7) these seeds give (1,1,2,4,4)/(6,6,8) Z points only.
+            assert s_total or (p, weights) == (7, (1, 1, 2, 4, 4))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_stratum_slice_in_place(self, p):
+        # The slice of a stratum's cone, built with the off-stratum
+        # coordinates at 0, is the slice of the stratum's own weights with
+        # each point embedded, point for point and in order.
+        for weights in [(1, 1, 2, 2, 2, 2), (1, 2, 2, 2, 2, 1), (1, 1, 2, 4, 4), (2, 3, 6)]:
+            n = len(weights)
+            assert list(_orbit_slice(p, weights)) == list(reference_slice(p, weights))
+            for size in range(1, n + 1):
+                for indices in itertools.combinations(range(n), size):
+
+                    def embed(assignment):
+                        pt = [0] * n
+                        for i, v in zip(indices, assignment):
+                            pt[i] = v
+                        return tuple(pt)
+
+                    expected = map(embed, reference_slice(p, [weights[i] for i in indices]))
+                    assert list(_orbit_slice(p, weights, indices)) == list(expected)
+
+
+def reference_slice(p, weights):
+    """The slice generator that joined a head of zeros and a representative
+    to each tail of ``itertools.product``, over every coordinate."""
+    n = len(weights)
+    for i, a in enumerate(weights):
+        powers = {pow(t, a, p) for t in range(1, p)}
+        covered = set()
+        for rep in range(1, p):
+            if rep in covered:
+                continue
+            covered.update(rep * h % p for h in powers)
+            head = (0,) * i + (rep,)
+            for tail in itertools.product(range(p), repeat=n - i - 1):
+                yield head + tail
 
 
 class TestExhaustiveBySliceSize:
@@ -836,9 +886,11 @@ def nonzero_points(p, n):
 
 
 class TestScan:
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_hypersurfaces_and_pairs(self, p):
         # k = 1 and k = 2, generic members and sparse ones with witnesses.
+        # A hypersurface's row, with rank bound 1, is scanned as equations
+        # after f.
         systems = [
             PolySystem.generic((1, 2, 2, 3), (6,), GF(p), 12),
             PolySystem.generic((1, 1, 3, 3, 3), (6, 6), GF(p), 3),
@@ -849,10 +901,19 @@ class TestScan:
                     parse_poly("x0^2 + x3^2", (1, 1, 1, 1), GF(p)),
                 )
             ),
+            PolySystem.generic((1, 1, 1, 1), (3,), GF(p), 3),
+            PolySystem.generic((1, 1, 1, 2, 2), (4,), GF(p), 2),
         ]
         found = [scans_agree(s, p, nonzero_points(p, len(s.weights))) for s in systems]
-        assert [len(s.polys) for s in systems] == [1, 2, 1, 2]
-        assert found[2] and found[3]
+        assert [len(s.polys) for s in systems] == [1, 2, 1, 2, 1, 1]
+        assert found[2] and found[3] and found[5]
+        # The septic in five variables (330 terms) and its row (1,045 more)
+        # pass the inline bound inside the row, so the row's last entries
+        # are compiled functions.  It is scanned on its orbit slice.
+        septic = PolySystem.generic((1,) * 5, (7,), GF(p), 3)
+        f, row = septic.polys[0], _jacobian(septic)[0]
+        assert len(f.terms) <= _CHUNK_TERMS < len(f.terms) + sum(len(g.terms) for g in row)
+        scans_agree(septic, p, list(_orbit_slice(p, septic.weights.entries)))
 
     def test_zero_polynomial(self):
         zero = SparsePoly.from_terms(GF(5), (1, 1, 1), {}, degree=2)
@@ -930,10 +991,11 @@ class TestScan:
     @pytest.mark.parametrize("chunk", [6, 1024])
     def test_row_generators(self, monkeypatch, chunk):
         # k = 1, 2 and 3, generic members and sparse ones with witnesses.
-        # Under a bound of 6 terms the rows of the sparse and the linear
-        # equations are generators and the rows of the generic quadrics and
-        # cubics draw from one function per entry; under the default bound
-        # every row is a generator.
+        # The one row of k = 1 is scanned as equations.  For k >= 2, under a
+        # bound of 6 terms the rows of the sparse and the linear equations
+        # are generators and the rows of the generic quadrics and cubics draw
+        # from one function per entry; under the default bound every row is
+        # a generator.
         monkeypatch.setattr(oracle, "_CHUNK_TERMS", chunk)
         kinds = set()
 
@@ -968,7 +1030,8 @@ class TestScan:
     @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2)])
     def test_one_compile_per_row(self, monkeypatch, degrees):
         # A member whose equations and rows fit the bound compiles the scan
-        # and one generator per row.
+        # and, for k >= 2, one generator per row; the one row of k = 1 is
+        # scanned as equations.
         sources = []
 
         def recording_compile(source, *args):
@@ -980,7 +1043,7 @@ class TestScan:
         assert sum(f.num_terms for f in s.polys) <= _CHUNK_TERMS
         quasi_smooth_probe(s, [5])
         kinds = sorted(source.split("(")[0] for source in sources)
-        assert kinds == ["def row"] * len(degrees) + ["def scan"]
+        assert kinds == ["def row"] * (len(degrees) if len(degrees) > 1 else 0) + ["def scan"]
 
     def test_scan_memory_is_bounded(self):
         # The 11,440-term octic goes through its chunks, not inline, so the

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,9 +285,13 @@ def parse_outcome(parse, text, weights, field):
 
 class TestParserDifferential:
     def test_agrees_with_reference_parser(self):
-        # A bare ValueError from int() on a digit run with a non-decimal digit
-        # is the one announced difference: that digit is now an unexpected
-        # character, and every run before it was decimal.
+        # Two differences are announced.  A bare ValueError from int() on a
+        # digit run with a non-decimal digit: that digit is now an unexpected
+        # character, and every run before it was decimal.  And a literal
+        # longer than sys.get_int_max_str_digits() digits, refused by the
+        # reference's int() with a bare ValueError too, is now a ParseError
+        # at its position; the random inputs are too short to reach it
+        # (test_literal_past_the_digit_limit checks it).
         rng = random.Random(20240)
         rings = [(W112, QQ), (W112, GF(5)), ((1, 1, 1, 1), QQ), ((1, 1, 1, 1), GF(5))]
         kinds = set()
@@ -313,6 +318,27 @@ class TestParserDifferential:
         with pytest.raises(ParseError) as err:
             parse_poly(text, W112, QQ)
         assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 5000 + "*x0", 0), ("x0^" + "1" * 5000, 3), ("x0 + x" + "1" * 5000, 6),
+    ], ids=["coefficient", "exponent", "index"])
+    def test_literal_past_the_digit_limit(self, text, position):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, W112, QQ)
+            # The reference refused it without a position.
+            with pytest.raises(ValueError, match="4300") as reference_err:
+                reference_parse_poly(text, W112, QQ)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert err.value.position == position
+        assert str(err.value) == (
+            "integer literal of 5000 digits exceeds the limit of 4300 digits"
+            f" (sys.get_int_max_str_digits()) (at position {position})"
+        )
+        assert type(reference_err.value) is ValueError
 
 
 class TestPrintRoundTrip:
