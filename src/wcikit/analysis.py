@@ -272,11 +272,8 @@ def is_weakly_well_formed(spec: WCISpec) -> tuple[bool, list[Stratum]]:
     monotone upward in the subset; every contained one is among the report's
     strata, and the evidence lists them in index order."""
     report = classify(spec)
-    return report.weakly_well_formed, _weak_evidence(report.strata, report.dim_X)
-
-
-def _weak_evidence(strata, dim_x: int) -> list[Stratum]:
-    return [si.stratum for si in strata if si.contained and si.stratum.dim == dim_x - 1]
+    contained = [si.stratum for si in report.strata if si.contained]
+    return report.weakly_well_formed, [st for st in contained if st.dim == report.dim_X - 1]
 
 
 def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
@@ -303,8 +300,8 @@ def _values(weights) -> tuple[int, ...]:
 
 @lru_cache(maxsize=REPRESENTABLE_CACHE_SIZE)
 def _representable(d: int, values: tuple[int, ...]) -> bool:
-    """``is_representable`` of a degree over a stratum's sorted distinct
-    weight values, decided once per pair.  A miss calls the module-level
+    """``is_representable`` of a degree over one value set of an ambient's
+    table, decided once per pair.  A miss calls the module-level
     ``is_representable``, so a wrapper installed on it sees every decision."""
     return is_representable(d, values)
 
@@ -312,47 +309,34 @@ def _representable(d: int, values: tuple[int, ...]) -> bool:
 @lru_cache(maxsize=1024)
 def _ambient(weights: Weights, dim_x: int):
     """The facts of an ambient and a dimension that do not depend on the
-    degrees: None for a non-well-formed ambient, otherwise a (covering,
-    weak) pair.  ``covering`` holds one (stratum, its dimension, its sorted
-    distinct weight values, count of weights delta divides) tuple per
-    covering stratum, in report order; ``weak`` holds the weak candidates
-    (the other singular strata of dimension dim_x - 1) grouped by their
-    sorted distinct weight values, on which representability, hence
-    containment, alone depends."""
+    degrees: None for a non-well-formed ambient, otherwise a (values,
+    covering, weak) triple.  ``values``, the value-set table, lists once and
+    in order each sorted distinct weight-value set a degree is tested over;
+    bit i of a degree's facts means "representable over ``values[i]``".
+    ``covering`` holds one (stratum, its dimension, the bit of its values,
+    the bit of ``(delta,)``, over which delta's multiples are representable)
+    tuple per covering stratum, in report order; ``weak`` groups the weak
+    candidates (the other singular strata of dimension dim_x - 1) by the bit
+    of their values, on which containment alone depends."""
     if not is_well_formed_space(weights):
         return None
-    covering = tuple(
-        (st, st.dim, _values(st.weights_in(weights)), sum(1 for a in weights if a % st.delta == 0))
-        for st in singular_strata(weights, maximal_only=True)
-    )
-    known = {st.indices for st, *_ in covering}
+    covering = [
+        (st, _values(st.weights_in(weights))) for st in singular_strata(weights, maximal_only=True)
+    ]
+    known = {st.indices for st, _ in covering}
     weak: dict[tuple[int, ...], list[Stratum]] = {}
     # Sorted, so _pattern's final sort merges sorted runs.
     for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
         if idx not in known:
             values = weights.at(idx)
             weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
-    return covering, tuple((values, tuple(strata)) for values, strata in weak.items())
-
-
-def _facts(ambient, d: int) -> int:
-    """A degree's facts over a well-formed ambient's (covering, weak) pair,
-    as the bits of one int: bit i if the degree cuts covering stratum i (is
-    representable over its values), bit n + i if that stratum's delta
-    divides it, and bit 2n + g if it cuts the weak candidates of group g,
-    where n counts the covering strata."""
-    covering, weak = ambient
-    n = len(covering)
-    facts = 0
-    for i, (st, _, values, _) in enumerate(covering):
-        if _representable(d, values):
-            facts |= 1 << i
-        if d % st.delta == 0:
-            facts |= 1 << (n + i)
-    for g, (values, _) in enumerate(weak, 2 * n):
-        if _representable(d, values):
-            facts |= 1 << g
-    return facts
+    table = sorted({v for _, v in covering} | {(st.delta,) for st, _ in covering} | weak.keys())
+    bit = {v: 1 << i for i, v in enumerate(table)}
+    return (
+        tuple(table),
+        tuple((st, st.dim, bit[v], bit[(st.delta,)]) for st, v in covering),
+        tuple((bit[v], tuple(strata)) for v, strata in weak.items()),
+    )
 
 
 def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
@@ -360,16 +344,15 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     ambient whose degrees, in order, have the given facts: the strata tuple,
     the singular intersection dimension, and whether the weak check failed,
     a stratum is degenerately contained and the Dimca count disagrees."""
-    covering, weak = ambient
-    n = len(covering)
+    _, covering, weak = ambient
     inters = []
     sing_dim = -1
     weak_found = degenerate = mismatch = False
-    # dimca_codim(spec, delta) with the count of delta-divisible weights cached.
-    codim_base = dim_x + 1
-    for i, (st, st_dim, _, n_delta) in enumerate(covering):
-        cutting = tuple(j for j, f in enumerate(facts) if f >> i & 1)
-        dc = sum(f >> (n + i) & 1 for f in facts) - n_delta + codim_base
+    for st, st_dim, vbit, dbit in covering:
+        cutting = tuple(j for j, f in enumerate(facts) if f & vbit)
+        # dimca_codim(spec, delta): delta divides exactly the st_dim + 1
+        # weights of its own covering set, so N(delta) needs no count.
+        dc = sum(1 for f in facts if f & dbit) + dim_x - st_dim
         if cutting:
             dim_general = max(st_dim - len(cutting), -1)
         else:
@@ -388,8 +371,8 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     # independently); fold those strata in so well_formed cannot contradict
     # weakly_well_formed.
     covered = len(inters)
-    for g, (_, strata) in enumerate(weak, 2 * n):
-        if not any(f >> g & 1 for f in facts):
+    for vbit, strata in weak:
+        if not any(f & vbit for f in facts):
             inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
     if len(inters) > covered:
         weak_found = True
@@ -398,14 +381,14 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 
-def _degree_records(ambient, entries, degrees) -> Iterator[tuple[int, int | None, bool]]:
+def _degree_records(ambient, entries, degrees) -> Iterator[tuple[int, int, bool]]:
     """Each degree's record over one ambient, drawn one at a time as the
-    degrees are: the degree, its ``_facts`` (None over a non-well-formed
-    ambient, which has none) and whether it equals one of the weight
+    degrees are: the degree, its facts (bit i set when it is representable
+    over the ambient's ``values[i]``; 0 over a non-well-formed ambient,
+    which has no table) and whether it equals one of the weight
     ``entries``."""
-    if ambient is None:
-        return ((d, None, d in entries) for d in degrees)
-    return ((d, _facts(ambient, d), d in entries) for d in degrees)
+    table = tuple(enumerate(ambient[0])) if ambient else ()
+    return ((d, sum(1 << i for i, v in table if _representable(d, v)), d in entries) for d in degrees)
 
 
 def _analysis(records, dim_x: int, weight_sum: int, weight_prod: int):
@@ -417,12 +400,13 @@ def _analysis(records, dim_x: int, weight_sum: int, weight_prod: int):
 
     The key is the tuple of the degrees' facts, whether the family is a
     linear cone (some degree equals a weight), and whether it is a surface
-    with a non-integral self-intersection.  Over one ambient and
-    codimension, every field of the ``classify`` report but the spec and
-    the adjunction data is a function of the key, so a caller that
-    classifies many specs of one ambient (the census) need classify only
-    the first spec of each key.  ``classify`` keys its spec here too, so
-    the two cannot drift apart."""
+    with a non-integral self-intersection.  Key invariant: bit i of a fact
+    says only "representable over the ambient's ``values[i]``", and over
+    one ambient and codimension every field of the ``classify`` report but
+    the spec and the adjunction data is a function of the key, so a caller
+    that classifies many specs of one ambient (the census) need classify
+    only the first spec of each key.  ``classify`` keys its spec here too,
+    so the two cannot drift apart."""
     degrees, facts, cones = zip(*records)
     amplitude = sum(degrees) - weight_sum
     num = amplitude**dim_x * prod(degrees)
@@ -439,20 +423,20 @@ def classify(spec: WCISpec) -> AnalysisReport:
     differing verdicts imply the general member is not quasi-smooth.
 
     The facts that do not depend on the degrees (well-formedness of the
-    ambient, its covering strata with their dimensions and weight values,
-    the weight half of the Dimca count, the weak candidates) are computed
-    once per weight tuple and dimension, in the bounded ``_ambient`` cache.
-    Each degree's facts over that ambient (which covering strata and weak
-    candidate groups it cuts, which covering deltas divide it) are one int,
-    whose representability questions are each decided once per (degree,
-    value-set) pair in the bounded ``_representable`` cache.  The verdict
-    depends on the degrees only through the tuple of their facts, the
-    pattern, from which ``_pattern`` computes the strata, the singular
-    intersection dimension and the weak, degenerate and Dimca outcomes.
-    The call then adds what is specific to the record: the linear cone and
-    the adjunction data (from ``_analysis``, as the census's), the flags
-    and the status.  A caller that classifies many specs of one ambient and
-    pattern keeps the reports itself, as the census does per key.
+    ambient, its value-set table, its covering strata and weak candidates)
+    are computed once per weight tuple and dimension, in the bounded
+    ``_ambient`` cache.  A degree's facts are one int whose bit i says
+    whether it is representable over the table's set i, decided once per
+    (degree, value-set) pair in the bounded ``_representable`` cache: a
+    stratum is cut by the degrees with the bit of its values, and its Dimca
+    count reads the bit of ``(delta,)``.  The verdict depends on the
+    degrees only through the tuple of their facts, the pattern, from which
+    ``_pattern`` computes the strata, the singular intersection dimension
+    and the weak, degenerate and Dimca outcomes.  The call then adds what
+    is specific to the record: the linear cone and the adjunction data
+    (from ``_analysis``, as the census's), the flags and the status.  A
+    caller that classifies many specs of one ambient and pattern keeps the
+    reports itself, as the census does per key.
     """
     dim_x = spec.dimension
     entries = spec.weights.entries

@@ -33,6 +33,9 @@ SEARCH_NOT_ENGAGED = "no_vanishing_restriction"
 DEFAULT_PRIMES = (3, 5, 7)
 EXHAUSTIVE_LIMIT = 10**7
 DEFAULT_SAMPLE_COUNT = 100_000
+# Nonzero points of a stratum's cone a witness search may decide; a larger
+# cone is refused with ValueError before any scan.
+MAX_WITNESS_POINTS = 10**5
 # Cells (p rows times one column per distinct reduced exponent) a scan's
 # power table may hold; a larger table is refused with ValueError.
 MAX_POWER_TABLE_CELLS = 2**23
@@ -61,12 +64,10 @@ def matrix_rank(rows, field) -> int:
 
     Entries are drawn column by column, one from each row in turn; each column
     is reduced against the independent columns before it, and drawing stops
-    once the rank equals the number of rows.  A single row has rank 1 unless
-    it is zero, and is drawn up to its first nonzero entry.
+    once the rank equals the number of rows, so a single row is drawn up to
+    its first nonzero entry.
     """
     rows = list(rows)
-    if len(rows) == 1:
-        return 1 if any(rows[0]) else 0
     # Each independent column, scaled to 1 at its pivot row and reduced to 0
     # at the pivot rows before it.
     basis = []
@@ -627,9 +628,11 @@ def wf_witness_search(
     member's cone, following the rank-drop mechanism.
 
     When no restriction vanishes identically (r = 0) the mechanism does not
-    engage and an empty report with a distinct status is returned.  When some
-    restricted partial derivative is a nonzero constant the origin may escape
-    Z; that is exactly the linear-cone escape and is flagged.
+    engage and an empty report with a distinct status is returned.  An
+    engaged search of a cone with more than ``MAX_WITNESS_POINTS`` nonzero
+    points is refused with ValueError before any scan.  When some restricted
+    partial derivative is a nonzero constant the origin may escape Z; that
+    is exactly the linear-cone escape and is flagged.
     """
     if not stratum.is_singular:
         raise ValueError(f"stratum {list(stratum.indices)} has delta 1; nothing singular to search")
@@ -653,6 +656,12 @@ def wf_witness_search(
     r = len(vanishing)
     if r == 0:
         return WitnessSearchReport(p, stratum, 0, r_div, (), off_idx, (), (), False, False)
+    cone = p ** len(on_idx) - 1
+    if cone > MAX_WITNESS_POINTS:
+        raise ValueError(
+            f"the cone of stratum {list(on_idx)} over GF({p}) has {cone} nonzero points, "
+            f"more than {MAX_WITNESS_POINTS}"
+        )
 
     jac = _jacobian(fsys)
     g_rows = [[restrict(jac[j][i], on_idx) for i in off_idx] for j in vanishing]

@@ -35,6 +35,7 @@ from wcikit.analysis import (
     MAX_RESIDUE_WORK,
     REPRESENTABLE_CACHE_SIZE,
     _ambient,
+    _degree_records,
     _representable,
 )
 from wcikit.cli import main
@@ -641,3 +642,48 @@ class TestClassifyCaches:
         monkeypatch.undo()
         _representable.cache_clear()
         assert reports == [reference_report_json(spec) for spec in specs]
+
+
+class TestValueSetTable:
+    def test_every_bit_is_representability_over_one_value_set(self):
+        # Over every well-formed ambient of a small box and every family
+        # dimension: the table lists each value set once, a degree's bit i
+        # is its representability over values[i], a covering stratum's delta
+        # bit is divisibility by delta, and delta divides exactly the
+        # st.dim + 1 weights of its covering set.
+        top = 30
+        degrees = range(1, top + 1)
+        checked = 0
+        for length in (3, 4, 5, 6):
+            for w in ascending_tuples(length, 1, 8, 16):
+                weights = Weights(w)
+                for dim_x in range(weights.dim):
+                    ambient = _ambient(weights, dim_x)
+                    if ambient is None:
+                        assert not is_well_formed_space(w)
+                        break
+                    values, covering, weak = ambient
+                    assert list(values) == sorted(set(values))
+                    assert all(v == tuple(sorted(set(v))) for v in values)
+                    facts = [f for _, f, _ in _degree_records(ambient, w, degrees)]
+                    for d, f in zip(degrees, facts):
+                        expected = sum(1 << i for i, v in enumerate(values) if is_representable(d, v))
+                        assert f == expected, (w, dim_x, d)
+                    used = set()
+                    for st, st_dim, vbit, dbit in covering:
+                        assert st_dim == st.dim
+                        assert values[vbit.bit_length() - 1] == tuple(sorted(set(weights.at(st.indices))))
+                        assert values[dbit.bit_length() - 1] == (st.delta,)
+                        assert [bool(f & dbit) for f in facts] == [d % st.delta == 0 for d in degrees]
+                        assert sum(a % st.delta == 0 for a in w) == st.dim + 1
+                        used |= {vbit, dbit}
+                    for vbit, strata in weak:
+                        for st in strata:
+                            assert st.dim == dim_x - 1
+                            assert values[vbit.bit_length() - 1] == tuple(sorted(set(weights.at(st.indices))))
+                        used.add(vbit)
+                    # Every bit is one value set's, and every value set is used.
+                    assert all(b & (b - 1) == 0 for b in used)
+                    assert sorted(used) == [1 << i for i in range(len(values))]
+                    checked += 1
+        assert checked > 1000

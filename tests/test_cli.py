@@ -739,6 +739,15 @@ CATALOGUE = [
      ["census", "--max-n", "1000000000", "--max-weight", "1", "--max-weight-sum", "1000000001",
       "--max-k", "1", "--max-degree", "1", "--min-dim", "1000000000", "--non-linear-cone",
       "--output", "{dir}/c.jsonl"], {}, 0),
+    ("witness-cone-of-65521^4-points",
+     ["witness", "1,1,2,2,2,2", "--degrees", "3,4", "--stratum", "2,3,4,5", "--prime", "65521"],
+     {}, 2),
+    # Z and S are the whole cone (degree 6 has no monomial on the 4s): 17^4 - 1
+    # points are decided, 19^4 - 1 are past MAX_WITNESS_POINTS.
+    ("witness-whole-cone-under-the-bound",
+     ["witness", "1,1,4,4,4,4", "--degrees", "6", "--stratum", "2,3,4,5", "--prime", "17"], {}, 0),
+    ("witness-whole-cone-past-the-bound",
+     ["witness", "1,1,4,4,4,4", "--degrees", "6", "--stratum", "2,3,4,5", "--prime", "19"], {}, 2),
     ("census-max-degree-2^63",
      ["census", "--config", "{dir}/c.json", "--output", "{dir}/c.jsonl"],
      {"c.json": json.dumps({"max_n": 2, "max_weight": 2, "max_weight_sum": 4, "max_k": 1,

@@ -459,6 +459,26 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match="delta 4 does not match gcd 2 of weights"):
             wf_witness_search(spec, sys_, Stratum((2, 3), 4), 5)
 
+    def test_cone_past_the_bound_refused_before_any_scan(self, monkeypatch):
+        spec, sys_, lam = self.fixture(1, 5)
+        scans = []
+        real_scan = oracle._scan
+        monkeypatch.setattr(oracle, "_scan", lambda *args: scans.append(args) or real_scan(*args))
+        # The stratum's cone over GF(5) has 5^4 - 1 = 624 nonzero points.
+        monkeypatch.setattr(oracle, "MAX_WITNESS_POINTS", 623)
+        with pytest.raises(ValueError, match=r"^the cone of stratum \[2, 3, 4, 5\] over GF\(5\) "
+                           r"has 624 nonzero points, more than 623$"):
+            wf_witness_search(spec, sys_, lam, 5)
+        assert scans == []
+        monkeypatch.setattr(oracle, "MAX_WITNESS_POINTS", 624)
+        assert wf_witness_search(spec, sys_, lam, 5).points_scanned == 624
+        assert scans
+        # At the real bound: GF(65521) is refused at once.
+        monkeypatch.undo()
+        sys_ = PolySystem.generic(spec.weights, spec.degrees, GF(65521), 1)
+        with pytest.raises(ValueError, match=f"more than {oracle.MAX_WITNESS_POINTS}$"):
+            wf_witness_search(spec, sys_, lam, 65521)
+
     def test_report_json(self):
         spec, sys_, lam = self.fixture(1, 5)
         data = wf_witness_search(spec, sys_, lam, 5).to_json()
