@@ -8,12 +8,14 @@ evidence only and never a proof of quasi-smoothness.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from itertools import chain, product
 from math import gcd
 
+from . import codegen
 from .analysis import WCISpec
+from .codegen import reduced as _reduced
 from .poly import (
     GF,
     PolySystem,
@@ -199,81 +201,16 @@ _CHUNK_TERMS = 1024
 
 def _compiled_eval(poly, powt, column, p):
     """A function of a point (a tuple of residues mod p) returning the value of
-    the polynomial over GF(p), with x^e read from ``powt[x][column[e]]``.
-
-    The function is generated straight-line code, e.g. for 2*x0^2*x3 + 4*x3^4
-    against a table of every exponent (``column[e] == e``)::
-
-        def ev(pt):
-            P0 = powt[pt[0]]
-            P3 = powt[pt[3]]
-            return sum((2*P0[2]*P3[1], 4*P3[4],)) % p
-
-    Exponents are reduced by ``_reduced`` (over GF(3), x3^4 reads x3^2).
-    A polynomial above ``_CHUNK_TERMS`` terms is compiled in chunks and their
-    values summed.
-    """
+    the polynomial over GF(p), with x^e read from ``powt[x][column[e]]``:
+    generated "ev" code (``codegen.source``) in chunks of at most
+    ``_CHUNK_TERMS`` terms, their values summed."""
     # The zero polynomial gets one empty chunk.
-    parts = [
-        _straight_line(poly.terms[i : i + _CHUNK_TERMS], powt, column, p)
-        for i in range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
-    ]
+    chunks = range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
+    units = [("ev", [poly.terms[i : i + _CHUNK_TERMS]]) for i in chunks]
+    parts, _ = codegen.functions(units, powt, column, p, _CHUNK_TERMS)
     if len(parts) == 1:
         return parts[0]
     return lambda pt: sum(part(pt) for part in parts) % p
-
-
-def _straight_line(terms, powt, column, p):
-    total, used = _sum_source(terms, column, p)
-    return _generated(
-        ["def ev(pt):", *(f"    P{i} = powt[pt[{i}]]" for i in used), f"    return {total}"],
-        {"powt": powt},
-        "ev",
-    )
-
-
-def _reduced(e: int, p: int) -> int:
-    """The exponent at most p-1 that acts as e on GF(p): by Fermat,
-    x^e = x^((e-1) mod (p-1) + 1) for every x, 0 included, when e >= 1."""
-    return (e - 1) % (p - 1) + 1 if e else 0
-
-
-def _sum_source(terms, column, p):
-    """The value of ``terms`` mod p as source text reading the power-table row
-    ``Pi`` of each coordinate i, at the ``column`` of each ``_reduced``
-    exponent, and the sorted coordinates it reads.
-
-    A sum over a tuple, unlike a chain of ``+``, compiles at any length.  Only
-    ints reach the source: the coefficients must be ints (TypeError
-    otherwise), and exponents, indices and p are ints by construction.
-    """
-    products = []
-    for exps, coeff in terms:
-        if type(coeff) is not int:
-            raise TypeError(f"compiled evaluation needs int coefficients, got {coeff!r}")
-        products.append(
-            "*".join(
-                [str(coeff), *(f"P{i}[{column[_reduced(e, p)]}]" for i, e in enumerate(exps) if e)]
-            )
-            + ","
-        )
-    used = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
-    return f"sum(({''.join(products)})) % {p}", used
-
-
-def _by_last_exponent(terms, p):
-    """The terms grouped by the ``_reduced`` exponent of the last coordinate,
-    in ascending order of it, each term with that exponent set to 0."""
-    groups = {}
-    for exps, coeff in terms:
-        groups.setdefault(_reduced(exps[-1], p), []).append((exps[:-1] + (0,), coeff))
-    return sorted(groups.items())
-
-
-def _generated(lines, namespace, name):
-    """Compile the source lines in ``namespace`` and return what they define as ``name``."""
-    exec(compile("\n".join(lines), f"<wcikit.oracle.{name}>", "exec"), namespace)
-    return namespace[name]
 
 
 def _columns(polys, p) -> dict[int, int]:
@@ -308,7 +245,8 @@ def _orbit_slice(p: int, weights, indices=None):
     """
     n = len(weights)
     on = range(n) if indices is None else indices
-    for i in on:
+
+    def leading(i):
         powers = {pow(t, weights[i], p) for t in range(1, p)}
         reps, covered = [], set()
         for rep in range(1, p):
@@ -320,7 +258,9 @@ def _orbit_slice(p: int, weights, indices=None):
         for j in on:
             if j > i:
                 choices[j] = range(p)
-        yield from itertools.product(*choices)
+        return product(*choices)
+
+    return chain.from_iterable(map(leading, on))
 
 
 def _orbit_slice_size(p: int, weights) -> int:
@@ -346,61 +286,53 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     A matrix of one row with ``rank`` 1 has rank below 1 exactly where every
     entry vanishes, so its entries are scanned as further equations after
     the given ones.  One generated function runs the loop, e.g. for f0 =
-    2*x0^3*x3 + 4*x3^4 + x1^2*x2^2, a further equation f1, and the one-row
-    matrix [[g0, g1]] with ``rank`` 1 over GF(5), where g0 = 3*x1^2 and g1 is
-    past the bound below::
+    x1^4 + 2*x0^3*x2, a further equation f1 and one f2 past the bound below,
+    over GF(5) and against a table of every exponent::
 
         def scan(points):
             out = []
-            Q = Q1 = Q2 = None
+            Q = Q1 = None
             for pt in points:
                 if Q != pt[:-1]:
                     Q = pt[:-1]
-                    P1 = powt[pt[1]]
-                    P2 = powt[pt[2]]
-                    C0_0 = sum((1*P1[2]*P2[2],)) % 5
-                    P0 = powt[pt[0]]
-                    C0_1 = sum((2*P0[3],)) % 5
-                    C0_4 = sum((4,)) % 5
+                    P1_4 = powt[pt[1]][4]
+                    P0_3 = powt[pt[0]][3]
+                    C0_0, C0_1, = K0*P1_4 % 5, K1*P0_3 % 5,
                 T = powt[pt[-1]]
-                if (C0_0 + C0_1*T[1] + C0_4*T[4]) % 5:
+                if (C0_0 + C0_1*T[1]) % 5:
                     continue
                 if Q1 is not Q:
                     Q1 = Q
-                    C1_0 = ...
-                    C1_2 = ...
+                    C1_0, C1_2, = E1(pt)
                 if (C1_0 + C1_2*T[2]) % 5:
                     continue
-                if Q2 is not Q:
-                    Q2 = Q
-                    C2_0 = sum((3*P1[2],)) % 5
-                if C2_0:
-                    continue
-                if F3(pt):
+                if F2(pt):
                     continue
                 out.append(pt)
             return out
 
-    Equations are tested inline while their terms total at most
-    ``_CHUNK_TERMS``, so no compile() sees more.  An inline equation is a
-    polynomial in the last coordinate whose coefficients are computed once
-    per prefix ``pt[:-1]``: the first equation's when the prefix changes,
-    each later one's the first time a point of the prefix passes the
-    equations before it (``Qj``, compared by identity, holds the prefix they
-    were computed for and so keeps it alive).  An exhaustive slice comes in
-    runs of p points sharing a prefix, where a point costs a few products per
+    with f0's coefficients bound as K0 and K1.  Equations are polynomials in
+    the last coordinate while their terms total at most ``_CHUNK_TERMS``, so
+    no compile() sees more, with coefficients computed once per prefix
+    ``pt[:-1]`` by an "eq" body (``codegen.source``): the first equation's
+    inline when the prefix changes, each later one's by a shared function
+    (E1 here) the first time a point of the prefix passes the equations
+    before it (``Qj``, compared by identity, holds the prefix they were
+    computed for and so keeps it alive).  An exhaustive slice comes in runs
+    of p points sharing a prefix, where a point costs a few products per
     equation; sampled draws rarely share one, and laziness spares them the
-    coefficients of equations they never reach.  Exponents are ``_reduced``,
-    and the power table has one column per distinct reduced exponent (at
-    most p - 1), which ``column`` maps; the example above reads a table of
-    every exponent, where ``T[e]`` is x_N^e.  A further equation (F3 here)
-    is a ``_compiled_eval`` function against the same power table.
+    coefficients of equations they never reach.  The power table has one
+    column per distinct ``_reduced`` exponent, which ``column`` maps.  A
+    further equation (F2 here) is a ``_compiled_eval`` function.
 
     Any other matrix is tested at the equations' common zeros, as
-    ``if matrix_rank([R0(pt), R1(pt)], field) < rank:`` for two rows, each
-    row a ``_row_entries`` generator, and ``matrix_rank`` draws the entries
-    column by column until the rank reaches the row count.  With no rows
-    left, the rank 0 is compared with ``rank`` once, here.
+    ``matrix_rank([R0(pt), R1(pt)], field) < rank`` for two rows, which
+    draws the entries column by column until the rank reaches the row count.
+    A row within the bound is a shared "row" generator, a larger or empty
+    one draws from one ``_compiled_eval`` function per entry.  With no rows
+    left, the rank 0 is compared with ``rank`` once, here.  The shared
+    functions the cache misses are compiled with the scan
+    (``codegen.functions``).
     """
     if len(matrix) == 1 and rank == 1:
         equations, matrix = (*equations, *matrix[0]), ()
@@ -412,8 +344,9 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     # matrix_rank is read from the module here, so a wrapper installed on it
     # sees every call.
     namespace = {"powt": powt, "field": field, "matrix_rank": matrix_rank}
-    prefixes, body = [], []
-    read, read_last, budget = set(), False, _CHUNK_TERMS
+    # The shared functions by name, and the terms of the equation computed inline.
+    units, prefixes, body, first = {}, [], [], ()
+    budget, last_row = _CHUNK_TERMS, "        T = powt[pt[-1]]"
     for j, f in enumerate(equations):
         budget -= len(f.terms)
         if budget < 0:
@@ -423,72 +356,39 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
         if not f.terms:
             # The zero polynomial vanishes everywhere.
             continue
-        if prefixes:
-            prefixes.append(f"Q{j}")
+        es = sorted({_reduced(exps[-1], p) for exps, _ in f.terms})
+        unpack = "".join(f"C{j}_{e}, " for e in es)
+        if first:
+            prefixes.append(f"Q{j} = ")
+            units[f"E{j}"] = ("eq", [f.terms])
             body += [f"        if Q{j} is not Q:", f"            Q{j} = Q"]
+            body.append(f"            {unpack}= E{j}(pt)")
         else:
-            prefixes.append("Q")
+            first = f.terms
+            reads, value = codegen.source("eq", [first], column, p)
             body += ["        if Q != pt[:-1]:", "            Q = pt[:-1]"]
-        groups = _by_last_exponent(f.terms, p)
-        for e, terms in groups:
-            total, used = _sum_source(terms, column, p)
-            body += [f"            P{i} = powt[pt[{i}]]" for i in used if i not in read]
-            read.update(used)
-            body.append(f"            C{j}_{e} = {total}")
-        if groups[-1][0] and not read_last:
-            read_last = True
-            body.append("        T = powt[pt[-1]]")
-        value = " + ".join(f"C{j}_{e}*T[{column[e]}]" if e else f"C{j}_0" for e, _ in groups)
-        if groups[-1][0]:
-            value = f"({value}) % {p}"
+            body += [" " * 8 + x for x in reads] + [f"            {unpack}= {value}"]
+        if es[-1] and last_row not in body:
+            body.append(last_row)
+        value = " + ".join(f"C{j}_{e}*T[{column[e]}]" if e else f"C{j}_0" for e in es)
+        value = f"({value}) % {p}" if es[-1] else value
         body += [f"        if {value}:", "            continue"]
+    for r, row in enumerate(matrix):
+        if row and sum(len(g.terms) for g in row) <= _CHUNK_TERMS:
+            units[f"R{r}"] = ("row", [g.terms for g in row])
+        else:
+            evs = [_compiled_eval(g, powt, column, p) for g in row]
+            namespace[f"R{r}"] = lambda pt, evs=evs: (ev(pt) for ev in evs)
     if matrix:
-        for r, row in enumerate(matrix):
-            namespace[f"R{r}"] = _row_entries(row, powt, column, p)
         rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
-        test = [f"        if matrix_rank([{rows}], field) < {rank}:", "            out.append(pt)"]
-    else:
-        test = ["        out.append(pt)"]
-    lines = [
-        "def scan(points):",
-        "    out = []",
-        *([f"    {' = '.join(prefixes)} = None"] if prefixes else []),
-        "    for pt in points:",
-        *body,
-        *test,
-        "    return out",
-    ]
-    return _generated(lines, namespace, "scan")(points)
-
-
-def _row_entries(row, powt, column, p):
-    """A function of a point returning an iterator over the row's entries at
-    it, in column order, each computed only when it is drawn.
-
-    A row whose terms total at most ``_CHUNK_TERMS`` is one generated
-    generator, reading the power-table row of each coordinate where it is
-    first used, e.g. for the row [3*x1^2, x0*x1 + 4*x0^2] over GF(5) against
-    a table of every exponent::
-
-        def row(pt):
-            P1 = powt[pt[1]]
-            yield sum((3*P1[2],)) % 5
-            P0 = powt[pt[0]]
-            yield sum((1*P0[1]*P1[1],4*P0[2],)) % 5
-
-    A larger row, or an empty one, draws from one ``_compiled_eval`` function
-    per entry.
-    """
-    if row and sum(len(g.terms) for g in row) <= _CHUNK_TERMS:
-        lines, read = ["def row(pt):"], set()
-        for g in row:
-            total, used = _sum_source(g.terms, column, p)
-            lines += [f"    P{i} = powt[pt[{i}]]" for i in used if i not in read]
-            read.update(used)
-            lines.append(f"    yield {total}")
-        return _generated(lines, {"powt": powt}, "row")
-    entries = [_compiled_eval(g, powt, column, p) for g in row]
-    return lambda pt: (ev(pt) for ev in entries)
+        body += [f"        if matrix_rank([{rows}], field) >= {rank}:", "            continue"]
+    lines = ["def scan(points):", "    out = []", f"    Q = {''.join(prefixes)}None"]
+    lines += ["    for pt in points:", *body, "        out.append(pt)", "    return out"]
+    shared, compiled = codegen.functions(
+        [*units.values()], powt, column, p, _CHUNK_TERMS, lines, len(first)
+    )
+    namespace.update(zip(units, shared))
+    return codegen.bind(compiled["scan"].__code__, first, namespace)(points)
 
 
 def _verified(sys: PolySystem, points) -> tuple[ConePoint, ...]:

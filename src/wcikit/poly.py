@@ -16,6 +16,7 @@ with terms sorted by exponent vector.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 import sys
@@ -207,9 +208,12 @@ class SparsePoly:
             exps = tuple(exps)
             if len(exps) != n:
                 raise PolyError(f"exponent vector {exps} does not match {n} coordinates")
-            if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in exps):
+            # Plain non-negative ints pass at C speed; the loop names the fault.
+            if not (set(map(type, exps)) <= {int} and min(exps, default=0) >= 0) and any(
+                (not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in exps
+            ):
                 raise PolyError(f"exponents must be non-negative integers: {exps}")
-            d = weighted_degree(exps, w)
+            d = sum(map(operator.mul, exps, w.entries))
             if common_degree is None:
                 common_degree, first_mono = d, exps
             elif d != common_degree:
@@ -337,8 +341,9 @@ def generic_poly(weights, degree: int, field: PrimeField, seed: int) -> SparsePo
             f"needs more than {MAX_GENERIC_TERMS} monomial-enumeration steps"
         )
     rng = random.Random(seed)
-    terms = {m: rng.randrange(1, field.p) for m in monomials_of_degree(w, degree)}
-    return SparsePoly.from_terms(field, w, terms, degree=degree)
+    # The monomials come distinct, of the degree and in ascending order.
+    terms = tuple((m, rng.randrange(1, field.p)) for m in monomials_of_degree(w, degree))
+    return SparsePoly(field, w, degree, terms)
 
 
 def parse_poly(text: str, weights, field) -> SparsePoly:
@@ -448,7 +453,9 @@ def partial_derivative(f: SparsePoly, index: int) -> SparsePoly:
     degree = f.degree - f.weights[index]
     if not terms:
         degree = max(degree, 0)
-    return SparsePoly.from_terms(f.field, f.weights, terms, degree=degree)
+    # Lowering one exponent keeps the vectors distinct, of one degree and in
+    # ascending order, and the coefficients are nonzero field elements.
+    return SparsePoly(f.field, f.weights, degree, tuple(terms.items()))
 
 
 def restrict(f: SparsePoly, indices) -> SparsePoly:
@@ -470,18 +477,20 @@ def evaluate(f: SparsePoly, point):
     pt = tuple(point)
     if len(pt) != len(f.weights):
         raise PolyError(f"point has {len(pt)} coordinates, expected {len(f.weights)}")
-    values = tuple(f.field.coerce(x) for x in pt)
-    total = f.field.coerce(0)
+    field = f.field
+    mul, power, add = field.mul, field.pow, field.add
+    values = tuple(map(field.coerce, pt))
+    total = zero = field.coerce(0)
     for exps, coeff in f.terms:
         v = coeff
         for x, e in zip(values, exps):
             if e:
                 if not x:
-                    v = f.field.coerce(0)
+                    v = zero
                     break
-                v = f.field.mul(v, f.field.pow(x, e))
+                v = mul(v, power(x, e))
         if v:
-            total = f.field.add(total, v)
+            total = add(total, v)
     return total
 
 

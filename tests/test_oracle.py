@@ -3,12 +3,15 @@
 import itertools
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import wcikit.codegen as codegen
 import wcikit.oracle as oracle
 
 from wcikit import (
@@ -982,48 +985,32 @@ class TestScan:
 
     def test_no_compile_sees_more_than_the_chunk_bound(self, monkeypatch):
         # With a bound of 20 terms, the linear equation (7 terms) is inlined
-        # in the scan; the quadric (28 terms) is compiled in chunks of 20 and 8.
-        import wcikit.oracle as oracle
-
+        # in the scan and the quadric (28 terms) is compiled in chunks of 20
+        # and 8.  The linear equation's row (7 constants) is one generator,
+        # compiled with the scan; the quadric's (7 entries of 7 terms) draws
+        # from one function per entry, and the 7 entries share one shape.
         monkeypatch.setattr(oracle, "_CHUNK_TERMS", 20)
-        sources = []
-
-        def recording_compile(source, *args):
-            sources.append(source)
-            return compile(source, *args)
-
-        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
         sys_ = PolySystem.generic((1,) * 7, (1, 2), GF(5), 1)
         assert [f.num_terms for f in sys_.polys] == [7, 28]
         scans_agree(sys_, 5, nonzero_points(5, 7)[::7])
-        terms = [
-            sum(s.count(",") for s in re.findall(r"sum\(\((.*?)\)\)", source))
-            for source in sources
-        ]
-        assert max(terms) == 20 and 8 in terms
-        scan_terms = [t for t, s in zip(terms, sources) if s.startswith("def scan")]
-        assert scan_terms == [7]
-        # The linear equation's row (7 constants) is one generator; the
-        # quadric's (7 entries of 7 terms) draws from one function per entry.
-        row_terms = [t for t, s in zip(terms, sources) if s.startswith("def row")]
-        assert row_terms == [7]
+        # Every term of generated code reads one coefficient name.
+        terms = [len(re.findall(r"\bK\d+\b", source)) for source in sources]
+        assert [defined(source) for source in sources] == [["ev"], ["ev"], ["ev"], ["row", "scan"]]
+        assert terms == [20, 8, 7, 14]
 
     @pytest.mark.parametrize("chunk", [6, 1024])
     def test_row_generators(self, monkeypatch, chunk):
         # k = 1, 2 and 3, generic members and sparse ones with witnesses.
-        # The one row of k = 1 is scanned as equations.  For k >= 2, under a
-        # bound of 6 terms the rows of the sparse and the linear equations
-        # are generators and the rows of the generic quadrics and cubics draw
-        # from one function per entry; under the default bound every row is
-        # a generator.
+        # The one row of k = 1 is scanned as equations, each past the first
+        # an "eq" function.  For k >= 2, under a bound of 6 terms the rows of
+        # the sparse and the linear equations are generators and the rows of
+        # the generic quadrics and cubics draw from one "ev" function per
+        # entry; under the default bound every row is a generator.
         monkeypatch.setattr(oracle, "_CHUNK_TERMS", chunk)
-        kinds = set()
-
-        def recording_compile(source, *args):
-            kinds.add(source.split("(")[0])
-            return compile(source, *args)
-
-        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
         systems = [
             (5, PolySystem.generic((1, 1, 1, 1), (3,), GF(5), 1)),
             (5, NODE.reduce_mod(5)),
@@ -1035,7 +1022,9 @@ class TestScan:
         found = [scans_agree(s, p, nonzero_points(p, len(s.weights))) for p, s in systems]
         assert [len(s.polys) for _, s in systems] == [1, 1, 2, 2, 3, 3]
         assert found[1] and found[3] and found[5]
-        assert kinds == {"def scan", "def row", *(["def ev"] if chunk == 6 else [])}
+        kinds = {kind for source in sources for kind in defined(source)}
+        assert kinds == {"scan", "eq", "row", *(["ev"] if chunk == 6 else [])}
+        assert max(len(re.findall(r"\bK\d+\b", source)) for source in sources) <= chunk
 
     def test_zero_column_matrices(self):
         # Rows without entries have rank 0: every common zero is returned.
@@ -1049,21 +1038,84 @@ class TestScan:
 
     @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2)])
     def test_one_compile_per_row(self, monkeypatch, degrees):
-        # A member whose equations and rows fit the bound compiles the scan
-        # and, for k >= 2, one generator per row; the one row of k = 1 is
-        # scanned as equations.
-        sources = []
+        # A member whose equations and rows fit the bound makes one compile()
+        # call: the scan and, once per shape, its later equations and its
+        # rows (for k >= 2).  The 4 partials of the cubic share one shape,
+        # and so do the two quadrics and their rows.  A second member of the
+        # family compiles its scan alone.
+        kinds = ["eq", "scan"] if len(degrees) == 1 else ["eq", "row", "row", "scan"]
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
+        first, second = (PolySystem.generic((1, 1, 1, 1), degrees, GF(5), seed) for seed in (1, 2))
+        assert sum(f.num_terms for f in first.polys) <= _CHUNK_TERMS
+        quasi_smooth_probe(first, [5])
+        quasi_smooth_probe(second, [5])
+        assert [defined(source) for source in sources] == [kinds, ["scan"]]
 
-        def recording_compile(source, *args):
-            sources.append(source)
-            return compile(source, *args)
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_members_of_a_family_share_their_shapes(self, monkeypatch, p):
+        # Two generic members of one family, drawn with different seeds, both
+        # equal the reference, and the second compiles no shape the first
+        # did: only its scan, which holds its first equation.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
+        for weights, degrees in [((1, 1, 3, 3, 3), (6, 6)), ((1, 1, 1, 1, 2), (4,)),
+                                 ((1, 1, 1, 1, 1), (2, 3)), ((1, 1, 1, 2, 2), (1, 2, 4))]:
+            members = [PolySystem.generic(weights, degrees, GF(p), seed) for seed in (1, 2)]
+            assert members[0].polys != members[1].polys
+            for member in members:
+                del sources[:]
+                scans_agree(member, p, list(_orbit_slice(p, weights)))
+                assert len(sources) == 1
+            assert defined(sources[0]) == ["scan"]
 
-        monkeypatch.setattr(oracle, "compile", recording_compile, raising=False)
-        s = PolySystem.generic((1, 1, 1, 1), degrees, GF(5), 1)
-        assert sum(f.num_terms for f in s.polys) <= _CHUNK_TERMS
-        quasi_smooth_probe(s, [5])
-        kinds = sorted(source.split("(")[0] for source in sources)
-        assert kinds == ["def row"] * (len(degrees) if len(degrees) > 1 else 0) + ["def scan"]
+    def test_shape_cache_holds_at_most_its_bound(self, monkeypatch):
+        # A cache about to pass its bound is emptied first, and a dropped
+        # shape is compiled again when a member needs it.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        monkeypatch.setattr(codegen, "SHAPE_CACHE_SIZE", 3)
+        sources = recorded_compiles(monkeypatch)
+        sizes = []
+        for weights, degrees in [((1, 1, 1, 1), (2, 3)), ((1, 1, 1, 1, 1), (3,)),
+                                 ((1, 1, 2, 2), (4, 4)), ((1, 1, 1, 1), (2, 3))]:
+            member = PolySystem.generic(weights, degrees, GF(5), 1)
+            scans_agree(member, 5, list(_orbit_slice(5, weights)))
+            sizes.append(len(codegen._shapes))
+        assert sizes == [3, 1, 3, 3]
+        assert defined(sources[0]) == defined(sources[-1]) == ["eq", "row", "row", "scan"]
+
+    def test_shape_cache_under_threads(self, monkeypatch):
+        # Threads scanning members of several families share the cache: each
+        # scan still equals the reference, and the cache keeps its bound.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        monkeypatch.setattr(codegen, "SHAPE_CACHE_SIZE", 3)
+        families = [((1, 1, 1, 1), (2, 3)), ((1, 1, 1, 1, 1), (3,)), ((1, 1, 2, 2), (4, 4))]
+        members = [PolySystem.generic(w, d, GF(5), seed) for w, d in families for seed in (1, 2)]
+        points = [list(_orbit_slice(5, m.weights.entries)) for m in members]
+        expected = [reference_scan(5, pts, m.polys, _jacobian(m), len(m.polys))
+                    for m, pts in zip(members, points)]
+        failures, sizes = [], []
+
+        def work(i):
+            j = i % len(members)
+            for _ in range(5):
+                m = members[j]
+                if _scan(5, GF(5), points[j], m.polys, _jacobian(m), len(m.polys)) != expected[j]:
+                    failures.append(i)
+                sizes.append(len(codegen._shapes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures and len(sizes) == 40 and max(sizes) <= 3
 
     def test_scan_memory_is_bounded(self):
         # The 11,440-term octic goes through its chunks, not inline, so the
@@ -1086,6 +1138,24 @@ class TestScan:
         assert peak < 20 * 2**20
         assert found == reference_scan(7, points, (poly,), [[entry]], 1)
         assert evaluate(poly, points[0]) and found == [on]
+
+
+def recorded_compiles(monkeypatch):
+    """The source of every compile() call of generated code from now on, in order."""
+    sources = []
+
+    def recording_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(codegen, "compile", recording_compile, raising=False)
+    return sources
+
+
+def defined(source):
+    """The kinds of the functions a generated source defines, sorted: its
+    ``def`` names without their numbers."""
+    return sorted(re.sub(r"\d+$", "", name) for name in re.findall(r"^def (\w+)\(", source, re.M))
 
 
 def common_zeros_agree(p, points, equations):
