@@ -324,12 +324,16 @@ def _ambient(weights: Weights, dim_x: int):
         (st, _values(st.weights_in(weights))) for st in singular_strata(weights, maximal_only=True)
     ]
     known = {st.indices for st, _ in covering}
-    weak: dict[tuple[int, ...], list[Stratum]] = {}
+    at = weights.entries.__getitem__
+    groups: dict[frozenset, list[tuple[int, ...]]] = {}
     # Sorted, so _pattern's final sort merges sorted runs.
     for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
         if idx not in known:
-            values = weights.at(idx)
-            weak.setdefault(_values(values), []).append(Stratum(idx, gcd(*values)))
+            groups.setdefault(frozenset(map(at, idx)), []).append(idx)
+    weak: dict[tuple[int, ...], list[Stratum]] = {}
+    for values, group in groups.items():
+        delta = gcd(*values)
+        weak[tuple(sorted(values))] = [Stratum(idx, delta) for idx in group]
     table = sorted({v for _, v in covering} | {(st.delta,) for st, _ in covering} | weak.keys())
     bit = {v: 1 << i for i, v in enumerate(table)}
     return (

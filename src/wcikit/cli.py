@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +23,7 @@ from .census import CensusBounds, ProbeBudget, summary_sidecar_path, write_censu
 # this module's census names look it up, though the CLI writes its census
 # through write_census.
 from .census import run_census  # noqa: F401
-from .jsonout import dump
+from .jsonout import Rows, dump
 from .oracle import (
     DEFAULT_PRIMES,
     DEFAULT_SAMPLE_COUNT,
@@ -54,6 +56,23 @@ def _emit(args, obj) -> None:
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         dump(obj, out)
         out.write("\n")
+
+
+def _paths(tree: dict, prefix: str = ""):
+    """The dotted key path of each leaf of a ``to_json`` tree, in order."""
+    for key, value in tree.items():
+        yield from _paths(value, f"{prefix}{key}.") if type(value) is dict else (prefix + key,)
+
+
+def _rows(items):
+    """``[item.to_json() for item in items]`` as rows for ``jsonout.dump``:
+    the first item's tree is the template, and each leaf of a row is read
+    off its item by the leaf's key path.  Strata and their intersections
+    key each value of their trees by the attribute that holds it."""
+    if not items:
+        return []
+    sample = items[0].to_json()
+    return Rows(sample, map(attrgetter(*_paths(sample)), items))
 
 
 def _verbose(args, message: str) -> None:
@@ -90,8 +109,10 @@ def _load_system(args, spec: WCISpec):
 
 
 def cmd_analyze(args) -> int:
-    spec = _spec(args)
-    _emit(args, classify(spec).to_json())
+    report = classify(_spec(args))
+    doc = replace(report, strata=()).to_json()
+    doc["strata"] = _rows(report.strata)
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -109,8 +130,7 @@ def cmd_wellform(args) -> int:
 def cmd_strata(args) -> int:
     w = Weights.parse(args.weights)
     strata = singular_strata(w, maximal_only=not args.all, max_size=args.max_size)
-    _emit(args, {"weights": w.to_json(), "maximal_only": not args.all,
-                 "strata": [s.to_json() for s in strata]})
+    _emit(args, {"weights": w.to_json(), "maximal_only": not args.all, "strata": _rows(strata)})
     return EXIT_OK
 
 

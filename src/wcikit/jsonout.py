@@ -2,10 +2,13 @@
 
 Every document the CLI prints or writes (the ``analyze``, ``wellform``,
 ``strata``, ``witness`` and ``probe`` results, the census summary and its
-partial-output marker) goes through ``dump``.  It emits exactly what ``json.dump(obj, fh, indent=2)``
-emits, in less than half the time on an ``analyze`` report with thousands of
-strata: when ``indent`` is set the stdlib never uses its C encoder, and its
-pure-Python one walks the document a value at a time.
+partial-output marker) goes through ``dump``.  It emits exactly what
+``json.dump(obj, fh, indent=2)`` emits: when ``indent`` is set the stdlib
+never uses its C encoder, and its pure-Python one walks the document a value
+at a time.  ``dump`` walks a document too, but a list of many rows of one
+layout, such as the strata of an ``analyze`` report, can be given as
+``Rows``: one row's tree is written once as a template, and every row is
+that template filled with its leaves, with no tree built or walked per row.
 
 Integers are written exactly, however many digits they have: ``exact_ints``
 lifts the interpreter's limit on int-to-decimal conversion while a writer
@@ -18,11 +21,15 @@ import json
 import sys
 import threading
 from contextlib import contextmanager
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 # Chunks gathered before each write: a document is written in bounded
 # batches, never held whole.
 _BATCH = 1024
+# Rows of a Rows list written at a time: a row is a dozen lines or more, so
+# a write holds about as much text as a batch of chunks.
+_ROW_BATCH = _BATCH // 16
 
 # The JSON text of a scalar, by its exact type.
 _SCALARS = {
@@ -31,6 +38,51 @@ _SCALARS = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
+
+
+# A leaf's place in a row's template.
+_HOLE = "\x00"
+
+
+class Rows:
+    """A list that ``dump`` writes as rows of one layout.  ``sample`` is
+    one row as its ``to_json`` builds it; each value in it that is not a
+    dict is a leaf, a scalar or a list of exact ints.  ``leaves`` yields
+    one tuple per row, holding the row's leaves in the order ``sample``
+    holds them; a list leaf may be any sequence of exact ints."""
+
+    __slots__ = ("sample", "leaves")
+
+    def __init__(self, sample, leaves):
+        self.sample, self.leaves = sample, leaves
+
+
+def _holed(tree, lists: list):
+    """``tree`` with each leaf replaced by ``_HOLE``; ``lists`` gets, per
+    leaf in order, whether it is a list."""
+    if type(tree) is dict:
+        return {k: _holed(v, lists) for k, v in tree.items()}
+    lists.append(type(tree) is list)
+    return _HOLE
+
+
+def _scalar(x) -> str:
+    return _SCALARS[type(x)](x)
+
+
+def _int_list(v, nl: str) -> str:
+    """A non-empty sequence of exact ints as ``dump`` writes it as a list on
+    a line whose ``"\\n"`` and indent are ``nl``."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
+
+
+def _list_leaf(piece: str):
+    """The text function of a list leaf whose hole ends ``piece`` of a
+    template: the list starts on the hole's line."""
+    line = piece[piece.rfind("\n"):]
+    nl = line[: len(line) - len(line.lstrip("\n "))]
+    return lambda v: _int_list(v, nl) if v else "[]"
 
 
 # The writers inside exact_ints and the limit to restore when the last one
@@ -79,7 +131,8 @@ def dump(obj, fh) -> None:
     ``str``, ``list`` or ``dict``, a dict with a non-str key) falls back to
     the stdlib: ``json.dumps(value, indent=2)``, re-indented to its depth by
     putting the depth's indent after each ``"\\n"``.  JSON text holds no raw
-    newline, so the result is byte-identical.  There is no cycle check:
+    newline, so the result is byte-identical.  A ``Rows`` is written as the
+    list of its rows' trees would be.  There is no cycle check:
     ``to_json`` builds fresh trees.  Ints of any size are written exactly
     (``exact_ints``).
     """
@@ -87,7 +140,6 @@ def dump(obj, fh) -> None:
     append = chunks.append
     write = fh.write
     quote = encode_basestring_ascii
-    intstr = int.__repr__
     scalar = _SCALARS.get
     only_int, only_str = {int}, {str}
 
@@ -102,10 +154,10 @@ def dump(obj, fh) -> None:
             if not v:
                 append("[]")
                 return
-            inner = nl + "  "
             if {*map(type, v)} == only_int:
-                append("[" + inner + ("," + inner).join(map(intstr, v)) + nl + "]")
+                append(_int_list(v, nl))
                 return
+            inner = nl + "  "
             sep, comma = "[" + inner, "," + inner
             for x in v:
                 text = scalar(type(x))
@@ -135,8 +187,31 @@ def dump(obj, fh) -> None:
                     flush()
                 sep = comma
             append(nl + "}")
+        elif t is Rows:
+            rows(v, nl)
         else:
             append(json.dumps(v, indent=2).replace("\n", nl))
+
+    def rows(v: Rows, nl: str) -> None:
+        # The template is the sample with a hole for each leaf, written by
+        # value() at a row's indent and cut at the holes; a row is its pieces
+        # joined by the texts of the row's leaves.
+        inner = nl + "  "
+        lists: list[bool] = []
+        flush()
+        value(_holed(v.sample, lists), inner)
+        pieces = "".join(chunks).split(quote(_HOLE))
+        chunks.clear()
+        texts = [_list_leaf(p) if is_list else _scalar for p, is_list in zip(pieces, lists)]
+        fill = "%s".join(p.replace("%", "%%") for p in pieces).__mod__
+        sep, comma = "[" + inner, "," + inner
+        leaves = iter(v.leaves)
+        while batch := list(islice(leaves, _ROW_BATCH)):
+            # Each hole's text function maps its column of the batch.
+            columns = map(map, texts, zip(*batch))
+            write(sep + comma.join(map(fill, zip(*columns))))
+            sep = comma
+        append(nl + "]" if sep is comma else "[]")
 
     with exact_ints():
         value(obj, "\n")

@@ -17,7 +17,7 @@ import wcikit.census
 from wcikit.analysis import WCISpec, classify
 from wcikit.census import CensusBounds, run_census
 from wcikit.cli import _emit, main
-from wcikit.jsonout import exact_ints
+from wcikit.jsonout import _BATCH, exact_ints
 from wcikit.oracle import DEFAULT_PRIMES, quasi_smooth_probe, wf_witness_search
 from wcikit.poly import GF, QQ, PolySystem, parse_poly
 from wcikit.weights import Stratum, Weights, singular_strata, well_form
@@ -646,11 +646,36 @@ class TestHarness:
         def indented(obj):
             return json.dumps(obj, indent=2) + "\n"
 
-        for weights, degrees in (("1,1,2,2,2", (3, 4)), ("1,6,10,15", (9223372036854775807,))):
+        def written(*argv):
+            out = tmp_path / "written.json"
+            assert emitted(*argv, "--output", str(out)) == ""
+            return out.read_text(encoding="utf-8")
+
+        # Every leaf case of a strata row: covering strata cut and contained,
+        # with int and bool Dimca fields, weak strata with null ones, no
+        # strata (an ambient that is not well formed, a smooth one), more
+        # strata than a write batch, and the quadric in P^2999, whose
+        # integers pass the 4,300-digit limit.
+        strata, counts = [], []
+        for weights, degrees in (
+            ("1,1,2,2,2", (3, 4)),
+            ("1,6,10,15", (9223372036854775807,)),
+            ("2,2,3", (6,)),
+            ("1,1,2,4,6", (2, 3)),
+            ("1,1," + ",".join(["2"] * 13), (3,) * 7),
+            (",".join(["1"] * 3000), (2,)),
+        ):
             report = classify(WCISpec(Weights.parse(weights), degrees))
-            assert emitted("analyze", weights, "--degrees", ",".join(map(str, degrees))) == (
-                indented(report.to_json())
-            )
+            strata.extend(report.strata)
+            counts.append(len(report.strata))
+            with exact_ints():
+                expected = indented(report.to_json())
+            argv = ("analyze", weights, "--degrees", ",".join(map(str, degrees)))
+            assert emitted(*argv) == expected
+            assert written(*argv) == expected
+        assert {(si.dimca_codim is None, si.dimca_agrees is None, bool(si.cutting_degrees))
+                for si in strata} == {(False, False, False), (False, False, True), (True, True, False)}
+        assert 0 in counts and max(counts) > _BATCH
         start = Weights.parse("4,6,10")
         result, trace = well_form(start)
         assert trace.steps
@@ -658,11 +683,15 @@ class TestHarness:
             {"input": start.to_json(), "weights": str(result),
              "entries": result.to_json(), "trace": trace.to_json()}
         )
-        w = Weights.parse("1,1,2,2,2")
-        assert emitted("strata", "1,1,2,2,2", "--all") == indented(
-            {"weights": w.to_json(), "maximal_only": False,
-             "strata": [s.to_json() for s in singular_strata(w, maximal_only=False)]}
-        )
+        for weights, flags in (("1,1,2,2,2", ("--all",)), ("1,1,2,2,2,2,3,3,6", ()), ("1,1,1", ()),
+                               ("1,1," + ",".join(["2"] * 11), ("--all",))):
+            w = Weights.parse(weights)
+            expected = indented(
+                {"weights": w.to_json(), "maximal_only": not flags,
+                 "strata": [s.to_json() for s in singular_strata(w, maximal_only=not flags)]}
+            )
+            assert emitted("strata", weights, *flags) == expected
+            assert written("strata", weights, *flags) == expected
         w = Weights.parse("1,1,2,2,2,2")
         report = wf_witness_search(
             WCISpec(w, (3, 4)), PolySystem.generic(w, (3, 4), GF(7), 1), Stratum.of(w, (2, 3, 4, 5)), 7,
@@ -703,6 +732,25 @@ class TestHarness:
         assert peak < len(expected) / 4, (peak, len(expected))
         _emit(argparse.Namespace(), obj)
         assert capsys.readouterr().out == expected
+
+
+    def test_analyze_streams_without_holding_the_document(self, monkeypatch, tmp_path):
+        weights, degrees = "1,1," + ",".join(["2"] * 15), (3,) * 8
+        report = classify(WCISpec(Weights.parse(weights), degrees))
+        assert len(report.strata) == 6436
+        # Classified beforehand, so the peak is the writer's.
+        monkeypatch.setattr("wcikit.cli.classify", lambda spec: report)
+        out = tmp_path / "analyze.json"
+        tracemalloc.start()
+        try:
+            code = main(["analyze", weights, "--degrees", ",".join(map(str, degrees)), "--output", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        expected = json.dumps(report.to_json(), indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == expected
+        assert peak < len(expected) / 4, (peak, len(expected))
 
 
 def _limited():

@@ -9,7 +9,7 @@ from collections import OrderedDict
 
 import pytest
 
-from wcikit.jsonout import _BATCH, dump, exact_ints
+from wcikit.jsonout import _BATCH, _ROW_BATCH, Rows, dump, exact_ints
 
 
 class Colour(enum.IntEnum):
@@ -75,6 +75,26 @@ def test_writes_in_batches():
         dump(obj, Recorder())
         assert "".join(writes) == json.dumps(obj, indent=2)
         assert len(writes) > 5 and max(map(len, writes)) < len("".join(writes)) / 4
+
+
+def test_rows_match_the_list_of_their_trees():
+    # Rows at the top and inside a document, in several write batches or
+    # none: nested layout, a "%" in a key and in a string leaf, empty and
+    # non-empty int lists, a leaf whose type changes from row to row, and
+    # an int past the digit limit.
+    scalars = [None, True, False, 3, "x%s\u2028", 7**8_000]
+
+    def tree(i):
+        return {"a%s": {"b": list(range(i % 3)), "c": {"d": scalars[i % 6]}}, "e": -i}
+
+    for n in (0, 1, 7, _ROW_BATCH, 3 * _ROW_BATCH + 1):
+        trees = [tree(i) for i in range(n)]
+        leaves = [(t["a%s"]["b"], t["a%s"]["c"]["d"], t["e"]) for t in trees]
+        sample = tree(0)
+        with exact_ints():
+            assert dumped(Rows(sample, leaves)) == json.dumps(trees, indent=2), n
+            doc = {"head": [1], "rows": Rows(sample, iter(leaves)), "tail": {}}
+            assert dumped(doc) == json.dumps({**doc, "rows": trees}, indent=2), n
 
 
 needs_limit = pytest.mark.skipif(
