@@ -11,10 +11,13 @@ silently.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress, repeat
 from math import gcd, prod
+from operator import attrgetter, or_
 from typing import Iterator
 
 from .weights import (
@@ -22,6 +25,7 @@ from .weights import (
     Stratum,
     Weights,
     _singular_index_sets,
+    _unchecked,
     as_weights,
     is_well_formed_space,
     singular_strata,
@@ -292,6 +296,8 @@ def adjunction_data(spec: WCISpec) -> tuple[int, Fraction]:
 # degrees from growing the cache with them.
 REPRESENTABLE_CACHE_SIZE = 4096
 
+_INDICES = attrgetter("stratum.indices")
+
 
 def _values(weights) -> tuple[int, ...]:
     """Sorted distinct weight values, on which representability alone depends."""
@@ -310,14 +316,20 @@ def _representable(d: int, values: tuple[int, ...]) -> bool:
 def _ambient(weights: Weights, dim_x: int):
     """The facts of an ambient and a dimension that do not depend on the
     degrees: None for a non-well-formed ambient, otherwise a (values,
-    covering, weak) triple.  ``values``, the value-set table, lists once and
-    in order each sorted distinct weight-value set a degree is tested over;
-    bit i of a degree's facts means "representable over ``values[i]``".
-    ``covering`` holds one (stratum, its dimension, the bit of its values,
-    the bit of ``(delta,)``, over which delta's multiples are representable)
-    tuple per covering stratum, in report order; ``weak`` groups the weak
-    candidates (the other singular strata of dimension dim_x - 1) by the bit
-    of their values, on which containment alone depends."""
+    covering, split, weak bits, weak) tuple.  ``values``, the value-set
+    table, lists once and in order each sorted distinct weight-value set a
+    degree is tested over; bit i of a degree's facts means "representable
+    over ``values[i]``".  ``covering`` holds one (stratum, its dimension,
+    the bit of its values, the bit of ``(delta,)``, over which delta's
+    multiples are representable) tuple per covering stratum, in report
+    order, and ``split`` counts those of dimension at least dim_x and at
+    least dim_x - 1.  ``weak`` holds each weak candidate (another singular
+    stratum of dimension dim_x - 1), in index order, as a report lists it
+    when the general member contains it: a ready intersection, which does
+    not depend on the degrees.  ``weak bits`` holds the bit of each one's
+    values, on which containment alone depends.  A candidate's indices come
+    ascending from ``combinations`` and its delta is the gcd of its values,
+    so its ``Stratum`` is built past the validator."""
     if not is_well_formed_space(weights):
         return None
     covering = [
@@ -325,21 +337,22 @@ def _ambient(weights: Weights, dim_x: int):
     ]
     known = {st.indices for st, _ in covering}
     at = weights.entries.__getitem__
-    groups: dict[frozenset, list[tuple[int, ...]]] = {}
-    # Sorted, so _pattern's final sort merges sorted runs.
-    for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))):
-        if idx not in known:
-            groups.setdefault(frozenset(map(at, idx)), []).append(idx)
-    weak: dict[tuple[int, ...], list[Stratum]] = {}
-    for values, group in groups.items():
-        delta = gcd(*values)
-        weak[tuple(sorted(values))] = [Stratum(idx, delta) for idx in group]
-    table = sorted({v for _, v in covering} | {(st.delta,) for st, _ in covering} | weak.keys())
+    indices = [idx for idx in sorted(_singular_index_sets(weights.entries, (dim_x,))) if idx not in known]
+    # Each candidate's group: the first-seen index of its value set.
+    groups: dict[frozenset, int] = {}
+    group = [groups.setdefault(frozenset(map(at, idx)), len(groups)) for idx in indices]
+    keys = [tuple(sorted(v)) for v in groups]
+    table = sorted({v for _, v in covering} | {(st.delta,) for st, _ in covering} | {*keys})
     bit = {v: 1 << i for i, v in enumerate(table)}
+    bits, deltas = [bit[v] for v in keys], [gcd(*v) for v in keys]
+    strata = [_unchecked(Stratum, indices=idx, delta=deltas[g]) for idx, g in zip(indices, group)]
+    negated_dims = [-st.dim for st, _ in covering]
     return (
         tuple(table),
         tuple((st, st.dim, bit[v], bit[(st.delta,)]) for st, v in covering),
-        tuple((bit[v], tuple(strata)) for v, strata in weak.items()),
+        (bisect(negated_dims, -dim_x), bisect(negated_dims, 1 - dim_x)),
+        tuple(map(bits.__getitem__, group)),
+        tuple(map(StratumIntersection, strata, repeat(()), repeat(dim_x - 1), repeat(True))),
     )
 
 
@@ -347,8 +360,11 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     """The degree-dependent verdict of every family over a well-formed
     ambient whose degrees, in order, have the given facts: the strata tuple,
     the singular intersection dimension, and whether the weak check failed,
-    a stratum is degenerately contained and the Dimca count disagrees."""
-    _, covering, weak = ambient
+    a stratum is degenerately contained and the Dimca count disagrees.  The
+    report lists the strata by dimension, descending, then by indices: the
+    covering strata arrive in that order, and the contained weak ones, kept
+    in index order, are merged in with those of dimension dim_x - 1."""
+    _, covering, (above, at_least), weak_bits, weak = ambient
     inters = []
     sing_dim = -1
     weak_found = degenerate = mismatch = False
@@ -373,15 +389,17 @@ def _pattern(ambient, dim_x: int, facts: tuple[int, ...]):
     # singular intersection up to dim_X - 1 even when the covering family's
     # per-stratum model misses it (the restrictions need not cut
     # independently); fold those strata in so well_formed cannot contradict
-    # weakly_well_formed.
-    covered = len(inters)
-    for vbit, strata in weak:
-        if not any(f & vbit for f in facts):
-            inters.extend(StratumIntersection(st, (), dim_x - 1, True) for st in strata)
-    if len(inters) > covered:
-        weak_found = True
-        sing_dim = max(sing_dim, dim_x - 1)
-        inters.sort(key=lambda si: (-si.stratum.dim, si.stratum.indices))
+    # weakly_well_formed.  A weak candidate is contained when no degree has
+    # the bit of its values.
+    if weak:
+        unmet = ~reduce(or_, facts)
+        contained = list(compress(weak, map(unmet.__and__, weak_bits)))
+        if contained:
+            weak_found = True
+            sing_dim = max(sing_dim, dim_x - 1)
+            for si in inters[above:at_least]:
+                insort(contained, si, key=_INDICES)
+            inters[above:at_least] = contained
     return tuple(inters), sing_dim, weak_found, degenerate, mismatch
 
 

@@ -31,12 +31,13 @@ _BATCH = 1024
 # a write holds about as much text as a batch of chunks.
 _ROW_BATCH = _BATCH // 16
 
-# The JSON text of a scalar, by its exact type.
+# The JSON text of each constant, and of a scalar by its exact type.
+_CONSTANTS = {True: "true", False: "false", None: "null"}
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
+    bool: _CONSTANTS.__getitem__,
+    type(None): _CONSTANTS.__getitem__,
 }
 
 
@@ -68,6 +69,17 @@ def _holed(tree, lists: list):
 
 def _scalar(x) -> str:
     return _SCALARS[type(x)](x)
+
+
+def _column(text, column):
+    """The texts of one column of a batch of rows.  ``text`` is a list
+    leaf's function; a scalar column (``text`` None) of one exact type is
+    mapped by that type's function (``int.__repr__``, a constant's
+    lookup), a mixed one by ``_scalar`` per value."""
+    if text is None:
+        types = {*map(type, column)}
+        text = _SCALARS[types.pop()] if len(types) == 1 else _scalar
+    return map(text, column)
 
 
 def _int_list(v, nl: str) -> str:
@@ -195,20 +207,20 @@ def dump(obj, fh) -> None:
     def rows(v: Rows, nl: str) -> None:
         # The template is the sample with a hole for each leaf, written by
         # value() at a row's indent and cut at the holes; a row is its pieces
-        # joined by the texts of the row's leaves.
+        # joined by the texts of the row's leaves, made a column of a batch
+        # at a time (_column).
         inner = nl + "  "
         lists: list[bool] = []
         flush()
         value(_holed(v.sample, lists), inner)
         pieces = "".join(chunks).split(quote(_HOLE))
         chunks.clear()
-        texts = [_list_leaf(p) if is_list else _scalar for p, is_list in zip(pieces, lists)]
+        texts = [_list_leaf(p) if is_list else None for p, is_list in zip(pieces, lists)]
         fill = "%s".join(p.replace("%", "%%") for p in pieces).__mod__
         sep, comma = "[" + inner, "," + inner
         leaves = iter(v.leaves)
         while batch := list(islice(leaves, _ROW_BATCH)):
-            # Each hole's text function maps its column of the batch.
-            columns = map(map, texts, zip(*batch))
+            columns = map(_column, texts, zip(*batch))
             write(sep + comma.join(map(fill, zip(*columns))))
             sep = comma
         append(nl + "]" if sep is comma else "[]")

@@ -34,7 +34,7 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weights:
     """Coordinate weights (a0, ..., aN) of a graded polynomial ring.
 
@@ -51,7 +51,7 @@ class Weights:
         if not entries:
             raise ValueError("need at least one weight")
         for a in entries:
-            if not isinstance(a, int) or isinstance(a, bool):
+            if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)):
                 raise ValueError(f"weight {a!r} is not an integer")
             if a < 1:
                 raise ValueError(f"weights must be positive, got {a}")
@@ -95,7 +95,16 @@ def as_weights(w) -> Weights:
     return Weights(tuple(w))
 
 
-@dataclass(frozen=True)
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, built past its
+    validator: only for values valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@dataclass(frozen=True, slots=True)
 class Stratum:
     """Coordinate subspace on which every coordinate outside ``indices`` vanishes.
 
@@ -233,36 +242,64 @@ def _space_entries(w) -> tuple[int, ...]:
     return entries
 
 
+def _first_excluded(entries) -> tuple[int, int] | None:
+    """The smallest index whose complementary gcd exceeds 1, with that gcd;
+    None when there is none (the entries of a well-formed space).
+
+    One gcd call decides index 0.  If entries[0] is coprime to some
+    entries[k], every other index has both in its complement, so only k is
+    left and one more gcd call decides it; without such a k,
+    ``_excluded_gcds`` does."""
+    a, rest = entries[0], entries[1:]
+    g = gcd(*rest)
+    if g > 1:
+        return 0, g
+    k = 1
+    for b in rest:
+        if gcd(a, b) == 1:
+            break
+        k += 1
+    else:
+        return next(((i, g) for i, g in enumerate(_excluded_gcds(entries)) if g > 1), None)
+    g = gcd(*entries[:k], *entries[k + 1:])
+    return (k, g) if g > 1 else None
+
+
 def is_well_formed_space(w) -> bool:
     """True iff for every index i the remaining weights have gcd 1."""
-    return all(g == 1 for g in _excluded_gcds(_space_entries(w)))
+    return _first_excluded(_space_entries(w)) is None
 
 
 def well_form(w) -> tuple[Weights, NormalizationTrace]:
     """Normalize weights to a well-formed representative of the same space.
 
-    Repeats two moves until neither applies: divide all entries by their
-    overall gcd; then, for the smallest index whose complementary gcd g
-    exceeds 1, divide every entry except that one by g.  Each move realizes a
-    grading isomorphism, the entry product strictly decreases, and the entry
-    order is preserved.  Returns the result together with a replayable trace.
+    Divides all entries by their overall gcd; then, while some index's
+    complementary gcd g exceeds 1, divides every entry except the smallest
+    such index by g.  Each move realizes a grading isomorphism, the entry
+    product strictly decreases, and the entry order is preserved.  No
+    overall gcd reappears: a prime dividing the kept entry and every
+    quotient would divide every entry before the move, whose gcd is 1
+    by then.  Returns the result
+    together with a replayable trace.  When no move applies (at once when
+    two entries are 1) the result is the input's ``Weights`` itself;
+    otherwise the result, whose entries are quotients of valid entries, is
+    built past the validator.
     """
     start = as_weights(w)
-    entries = list(_space_entries(start))
+    entries = _space_entries(start)
     steps: list[NormalizationStep] = []
-    while True:
+    if entries.count(1) < 2:
         g = gcd(*entries)
         if g > 1:
             entries = [a // g for a in entries]
             steps.append(NormalizationStep(OVERALL_GCD, g))
-        for i, gi in enumerate(_excluded_gcds(entries)):
-            if gi > 1:
-                entries = [a if j == i else a // gi for j, a in enumerate(entries)]
-                steps.append(NormalizationStep(EXCLUDED_INDEX, gi, i))
-                break
-        else:
-            break
-    result = start if not steps else Weights(tuple(entries))
+        while found := _first_excluded(entries):
+            i, g = found
+            kept = entries[i]
+            entries = [a // g for a in entries]
+            entries[i] = kept
+            steps.append(NormalizationStep(EXCLUDED_INDEX, g, i))
+    result = _unchecked(Weights, entries=tuple(entries)) if steps else start
     return result, NormalizationTrace(tuple(steps), result)
 
 

@@ -4,7 +4,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, prod
 
 import pytest
@@ -18,6 +18,7 @@ from wcikit import (
     THEOREM_NOT_APPLICABLE_DIM,
     THEOREM_NOT_APPLICABLE_LINEAR_CONE,
     Stratum,
+    StratumIntersection,
     WCISpec,
     Weights,
     adjunction_data,
@@ -38,6 +39,7 @@ from wcikit.analysis import (
     _degree_records,
     _representable,
 )
+from wcikit.census import CensusBounds, enumerate_specs
 from wcikit.cli import main
 
 S5 = WCISpec((1, 1, 2, 2, 2), (3, 4))  # surface fixture
@@ -662,7 +664,7 @@ class TestValueSetTable:
                     if ambient is None:
                         assert not is_well_formed_space(w)
                         break
-                    values, covering, weak = ambient
+                    values, covering, (above, at_least), weak_bits, weak = ambient
                     assert list(values) == sorted(set(values))
                     assert all(v == tuple(sorted(set(v))) for v in values)
                     facts = [f for _, f, _ in _degree_records(ambient, w, degrees)]
@@ -677,13 +679,59 @@ class TestValueSetTable:
                         assert [bool(f & dbit) for f in facts] == [d % st.delta == 0 for d in degrees]
                         assert sum(a % st.delta == 0 for a in w) == st.dim + 1
                         used |= {vbit, dbit}
-                    for vbit, strata in weak:
-                        for st in strata:
-                            assert st.dim == dim_x - 1
-                            assert values[vbit.bit_length() - 1] == tuple(sorted(set(weights.at(st.indices))))
+                    dims = [st_dim for _, st_dim, _, _ in covering]
+                    assert (above, at_least) == (sum(d >= dim_x for d in dims), sum(d >= dim_x - 1 for d in dims))
+                    # The weak candidates' ready intersections, in index order.
+                    assert [si.stratum.indices for si in weak] == sorted(si.stratum.indices for si in weak)
+                    for vbit, si in zip(weak_bits, weak, strict=True):
+                        st = si.stratum
+                        assert si == StratumIntersection(st, (), dim_x - 1, True)
+                        assert st.dim == dim_x - 1
+                        assert values[vbit.bit_length() - 1] == tuple(sorted(set(weights.at(st.indices))))
                         used.add(vbit)
                     # Every bit is one value set's, and every value set is used.
                     assert all(b & (b - 1) == 0 for b in used)
                     assert sorted(used) == [1 << i for i in range(len(values))]
                     checked += 1
         assert checked > 1000
+
+
+# The analyze-scaling families of the benchmark: every weak candidate of the
+# largest, (1,1,2^17)/(3^9), is contained, 24,310 of them.
+SCALING_FAMILIES = [WCISpec((1, 1) + (2,) * n, (3,) * k) for n, k in ((13, 7), (15, 8), (17, 9))]
+# A covering stratum of dimension dim_X - 1 between contained weak strata:
+# for 1,2,3,4,6/3,5, (2,4) is cut and sits between (1,4) and (3,4).
+MERGE_CASES = [WCISpec((1, 2, 3, 4), (3, 5)), WCISpec((1, 2, 3, 4, 6), (3, 5))]
+
+
+def min_dim_zero_box():
+    bounds = CensusBounds(max_n=6, max_weight=4, max_weight_sum=12, max_k=3, max_degree=6, min_dim=0)
+    for w, k, degrees in enumerate_specs(bounds):
+        for degs in combinations_with_replacement(degrees, k):
+            yield WCISpec(w, degs)
+
+
+class TestReportStrata:
+    def test_strata_pass_the_validator(self):
+        # Weak strata are built past Stratum's validator; each must equal
+        # the stratum the validator builds, with delta the gcd of its weights.
+        checked = 0
+        for spec in [*SCALING_FAMILIES, *min_dim_zero_box()]:
+            for si in classify(spec).strata:
+                st = si.stratum
+                assert Stratum(st.indices, st.delta) == st
+                assert st.delta == gcd(*spec.weights.at(st.indices))
+                checked += 1
+        assert checked > 30000
+
+    def test_strata_in_report_order(self):
+        for spec in [*MERGE_CASES, *SCALING_FAMILIES, *min_dim_zero_box()]:
+            strata = [si.stratum for si in classify(spec).strata]
+            assert strata == sorted(strata, key=lambda st: (-st.dim, st.indices)), spec.key()
+        # The merge: a covering stratum (with a Dimca count) of dimension
+        # dim_X - 1 between contained weak ones (without).
+        for spec, expected in zip(MERGE_CASES, (
+            [((1, 3), False), ((1,), True), ((2,), False), ((3,), True)],
+            [((1, 3, 4), False), ((1, 3), True), ((1, 4), True), ((2, 4), False), ((3, 4), True)],
+        )):
+            assert [(si.stratum.indices, si.dimca_codim is None) for si in classify(spec).strata] == expected

@@ -15,7 +15,52 @@ from wcikit import (
     singular_strata,
     well_form,
 )
-from wcikit.weights import _excluded_gcds
+from wcikit.weights import EXCLUDED_INDEX, MAX_ENTRY, OVERALL_GCD, _excluded_gcds, as_weights
+
+
+def reference_well_form(entries):
+    """``well_form``'s former loop, kept as the reference: each round
+    retries the overall gcd, then takes the first index of
+    ``_excluded_gcds`` above 1."""
+    entries = list(entries)
+    steps = []
+    while True:
+        g = gcd(*entries)
+        if g > 1:
+            entries = [a // g for a in entries]
+            steps.append(NormalizationStep(OVERALL_GCD, g))
+        for i, gi in enumerate(_excluded_gcds(entries)):
+            if gi > 1:
+                entries = [a if j == i else a // gi for j, a in enumerate(entries)]
+                steps.append(NormalizationStep(EXCLUDED_INDEX, gi, i))
+                break
+        else:
+            return tuple(entries), tuple(steps)
+
+
+def seeded_weight_tuples(seed, count):
+    """Tuples of 2 to 12 entries that share divisors in many patterns: small
+    composites, entries near 2^63 - 1, and products of both."""
+    rng = random.Random(seed)
+    small = (1, 1, 2, 3, 4, 5, 6, 10, 12, 15, 30, 42)
+    near_max = (MAX_ENTRY, MAX_ENTRY - 1, MAX_ENTRY // 2, 2**62, 3 * 2**61, (2**61 - 1) * 3, 2**61 - 1)
+    out = [(6, 10, 15), (30, 6, 10, 15), (6, 10, 15, 2**62), (MAX_ENTRY, MAX_ENTRY)]
+    while len(out) < count:
+        n = rng.randrange(2, 13)
+        entries = []
+        for _ in range(n):
+            r = rng.random()
+            if r < 0.5:
+                a = rng.choice(small)
+            elif r < 0.75:
+                a = rng.choice(near_max)
+            elif r < 0.9:
+                a = rng.choice(small) * rng.choice(near_max) // rng.choice((1, 2, 3, 6))
+            else:
+                a = rng.randrange(1, MAX_ENTRY + 1)
+            entries.append(min(max(a, 1), MAX_ENTRY))
+        out.append(tuple(entries))
+    return out
 
 
 def brute_force_singular_subsets(entries):
@@ -170,6 +215,27 @@ class TestWellForm:
                 again, trace = well_form(result)
                 assert again == result
                 assert trace.steps == ()
+
+    def test_against_the_former_loop(self):
+        # The coprime-pair search and the single overall-gcd move give the
+        # entries and the full trace of the former loop; the result is the
+        # input itself when no step applies, and otherwise passes the
+        # validator it was built past.
+        unchanged = changed = 0
+        for t in seeded_weight_tuples(29, 6000) + list(product(range(1, 7), repeat=4)):
+            entries, steps = reference_well_form(t)
+            w = Weights(t)
+            result, trace = well_form(w)
+            assert (result.entries, trace.steps) == (entries, steps), t
+            assert well_form(t) == (result, trace), t
+            assert trace.result is result
+            if steps:
+                assert Weights(result.entries) == result
+                changed += 1
+            else:
+                assert result is w and well_form(w)[0] is as_weights(w)
+                unchanged += 1
+        assert unchanged > 500 and changed > 500
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
