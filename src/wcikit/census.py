@@ -31,7 +31,7 @@ from .analysis import (
     _degree_records,
     classify,
 )
-from .jsonout import dump, exact_ints
+from .jsonout import HOLE, dump, exact_ints, template
 from .oracle import DEFAULT_PRIMES, QSVerdict, _check_budget, hygienic_primes, quasi_smooth_probe
 from .poly import GF, PolySystem
 from .weights import MAX_ENTRY, Weights, is_well_formed_space
@@ -210,28 +210,23 @@ def _spot_probe(spec: WCISpec, budget: ProbeBudget) -> Optional[QSVerdict]:
 _encode_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-# Stands for each per-spec value in a census line template; its encoding,
-# "\u0000", occurs nowhere else in a line.
-_HOLE = "\x00"
-
-
 def _entry(report: AnalysisReport) -> tuple:
     """The report and the six pieces of its census line around the values
     that differ between the specs of one key: the degrees, the amplitude,
     the self-intersection's numerator and denominator, and the verdict, in
     the order the line encodes them.  The record's ``to_json()`` gets
-    ``_HOLE`` for each value (the degrees become ``[_HOLE]``), is encoded
-    once and is cut at each hole's encoding, so the pieces follow the
-    record's layout whatever its other fields."""
+    ``jsonout.HOLE`` for each value (the degrees become ``[HOLE]``) and is
+    cut by ``jsonout.template`` in its compact encoding, so the pieces
+    follow the record's layout whatever its other fields."""
     record = CensusRecord(report).to_json()
     fields = record["report"]
-    fields["spec"]["degrees"] = [_HOLE]
-    fields["amplitude"] = record["oracle_verdict"] = _HOLE
-    fields["canonical_self_intersection"] = {"num": _HOLE, "den": _HOLE}
-    return (report, *_encode_line(record).split(_encode_line(_HOLE)))
+    fields["spec"]["degrees"] = [HOLE]
+    fields["amplitude"] = record["oracle_verdict"] = HOLE
+    fields["canonical_self_intersection"] = {"num": HOLE, "den": HOLE}
+    return (report, *template(_encode_line, record))
 
 
-def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
+def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget]):
     """The census engine: one row (weights, degrees, amplitude, the
     self-intersection's numerator and denominator, entry, verdict) per spec
     of the box, in enumeration order; the summary, tallied on the way, is
@@ -247,16 +242,16 @@ def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
     one record per allowed degree, since its spec count grows like D^k/k!.
     Over one block, a report depends on its spec only through the key and
     the adjunction data.  So the first spec of each key is built and
-    classified, and ``entry`` of its report serves every later spec of the
-    key: a tuple whose first item is the report (``_entry`` adds the
-    report's line cut around the per-spec values).  The entries are dropped
-    at each block and when they number ``PATTERN_CACHE_SIZE``.  With a
-    budget, the theorem-applicable specs are built and spot-probed.  A probe
-    can only certify non-quasi-smoothness, so it never contradicts a
-    record's theorem status.  The linear cones, which the enumeration never
-    builds, are counted in closed form as each block goes by: with D =
-    ``max_degree`` and ``free`` the values up to D that are no weight,
-    C(D+k-1, k) - C(free+k-1, k) degree tuples of the block meet a weight."""
+    classified, and its entry (``_entry``: the report and its line cut
+    around the per-spec values) serves every later spec of the key.  The
+    entries are dropped at each block and when they number
+    ``PATTERN_CACHE_SIZE``.  With a budget, the theorem-applicable specs are
+    built and spot-probed.  A probe can only certify non-quasi-smoothness,
+    so it never contradicts a record's theorem status.  The linear cones,
+    which the enumeration never builds, are counted in closed form as each
+    block goes by: with D = ``max_degree`` and ``free`` the values up to D
+    that are no weight, C(D+k-1, k) - C(free+k-1, k) degree tuples of the
+    block meet a weight."""
     top = bounds.max_degree
     total = well_formed = weakly_only = neither = implies = probed = skipped = 0
     for w, k, degrees in enumerate_specs(bounds):
@@ -275,7 +270,7 @@ def _rows(bounds: CensusBounds, probe: Optional[ProbeBudget], entry=_entry):
                 entries.clear()
             found = entries.get(key)
             if found is None:
-                found = entries[key] = entry(classify(WCISpec(w, degs)))
+                found = entries[key] = _entry(classify(WCISpec(w, degs)))
             report = found[0]
             status = report.theorem_status
             verdict = None
@@ -306,16 +301,15 @@ def run_census(
     The records come from the engine that ``write_census`` writes its lines
     from: each report is the report of its key's first spec with the spec,
     the amplitude and the self-intersection of its own spec put in, so
-    ``classify`` runs once per key here too.  The entries hold the report
-    alone, since no line is written."""
-    rows = _rows(bounds, probe, lambda report: (report,))
+    ``classify`` runs once per key here too."""
+    rows = _rows(bounds, probe)
     while True:
         try:
-            w, degs, amplitude, num, den, (report,), verdict = next(rows)
+            w, degs, amplitude, num, den, entry, verdict = next(rows)
         except StopIteration as done:
             return done.value
         report = replace(
-            report, spec=WCISpec(w, degs), amplitude=amplitude,
+            entry[0], spec=WCISpec(w, degs), amplitude=amplitude,
             canonical_self_intersection=Fraction(num, den),
         )
         yield CensusRecord(report, verdict)

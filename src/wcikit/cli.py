@@ -49,9 +49,9 @@ def _spec(args) -> WCISpec:
 
 
 def _emit(args, obj) -> None:
-    # jsonout.dump writes the bytes of json.dump(obj, out, indent=2), in bounded
-    # batches as it encodes, so a large document (strata --all, an analyze with
-    # thousands of strata) is never held in memory as one string.
+    # jsonout.dump writes the stdlib's indented text, and strata as rows of one
+    # template, in bounded batches as it encodes, so a large document (strata
+    # --all, an analyze with thousands of strata) is never held as one string.
     path = getattr(args, "output", None)
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         dump(obj, out)
@@ -163,7 +163,7 @@ def cmd_probe(args) -> int:
             seed=args.seed,
             allow_bad_primes=args.allow_bad_primes,
         )
-        for p in probe_primes(primes, spec.weights, spec.degrees, args.allow_bad_primes)
+        for p in probe_primes(primes, spec.weights, spec.degrees, args.allow_bad_primes, "--allow-bad-primes")
     )
     _emit(args, verdict.to_json())
     return EXIT_OK

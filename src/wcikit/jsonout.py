@@ -2,17 +2,14 @@
 
 Every document the CLI prints or writes (the ``analyze``, ``wellform``,
 ``strata``, ``witness`` and ``probe`` results, the census summary and its
-partial-output marker) goes through ``dump``.  It emits exactly what
-``json.dump(obj, fh, indent=2)`` emits: when ``indent`` is set the stdlib
-never uses its C encoder, and its pure-Python one walks the document a value
-at a time.  ``dump`` walks a document too, but a list of many rows of one
+partial-output marker) is the stdlib's ``json.JSONEncoder(indent=2)`` text,
+which ``dump`` writes in bounded batches.  A list of many rows of one
 layout, such as the strata of an ``analyze`` report, can be given as
-``Rows``: one row's tree is written once as a template, and every row is
-that template filled with its leaves, with no tree built or walked per row.
-
-Integers are written exactly, however many digits they have: ``exact_ints``
-lifts the interpreter's limit on int-to-decimal conversion while a writer
-runs.
+``Rows``: one row's text is cut at its leaves once (``template``, which the
+census cuts its lines with too), and each row is the pieces filled with its
+leaves, with no tree built or walked per row.  That fill is the only JSON
+text written here by hand.  ``exact_ints`` lets a writer write ints of any
+size.
 """
 
 from __future__ import annotations
@@ -24,12 +21,12 @@ from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-# Chunks gathered before each write: a document is written in bounded
-# batches, never held whole.
+# Characters gathered before each write, so a document is never held whole;
+# the stdlib's chunks are a few characters each, so its text bounds a batch.
 _BATCH = 1024
-# Rows of a Rows list written at a time: a row is a dozen lines or more, so
-# a write holds about as much text as a batch of chunks.
-_ROW_BATCH = _BATCH // 16
+# Rows of a Rows list written at a time: a stratum's row is a dozen lines
+# and a few hundred characters.
+_ROW_BATCH = 64
 
 # The JSON text of each constant, and of a scalar by its exact type.
 _CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -40,9 +37,19 @@ _SCALARS = {
     type(None): _CONSTANTS.__getitem__,
 }
 
+# Stands for each value to be filled in in a template; its encoding,
+# "\u0000", occurs nowhere else in a template's text.
+HOLE = "\x00"
 
-# A leaf's place in a row's template.
-_HOLE = "\x00"
+_indented = json.JSONEncoder(indent=2).encode
+# The stdlib's refusal of a value it cannot encode.
+_refuse = json.JSONEncoder().default
+
+
+def template(encode, tree) -> list[str]:
+    """``encode(tree)`` cut at each ``HOLE`` in ``tree``: the pieces that
+    the texts of its values go between, in the order ``tree`` holds them."""
+    return encode(tree).split(encode(HOLE))
 
 
 class Rows:
@@ -59,12 +66,12 @@ class Rows:
 
 
 def _holed(tree, lists: list):
-    """``tree`` with each leaf replaced by ``_HOLE``; ``lists`` gets, per
+    """``tree`` with each leaf replaced by ``HOLE``; ``lists`` gets, per
     leaf in order, whether it is a list."""
     if type(tree) is dict:
         return {k: _holed(v, lists) for k, v in tree.items()}
     lists.append(type(tree) is list)
-    return _HOLE
+    return HOLE
 
 
 def _scalar(x) -> str:
@@ -82,19 +89,41 @@ def _column(text, column):
     return map(text, column)
 
 
-def _int_list(v, nl: str) -> str:
-    """A non-empty sequence of exact ints as ``dump`` writes it as a list on
-    a line whose ``"\\n"`` and indent are ``nl``."""
+def _last_indent(text: str, nl: str) -> str:
+    """The ``"\\n"`` and indent that start the last line of ``text``, or
+    ``nl`` if ``text`` holds no ``"\\n"``."""
+    i = text.rfind("\n")
+    line = nl if i < 0 else text[i:]
+    return line[: len(line) - len(line.lstrip("\n "))]
+
+
+def _list_leaf(piece: str, nl: str):
+    """The text function of a list leaf whose hole ends ``piece`` of a row's
+    template: a non-empty sequence of exact ints as a list starting on the
+    hole's line, which is the row's (``nl``) if ``piece`` has no line break."""
+    nl = _last_indent(piece, nl)
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]"
+    comma, close = "," + inner, nl + "]"
+    return lambda v: "[" + inner + comma.join(map(int.__repr__, v)) + close if v else "[]"
 
 
-def _list_leaf(piece: str):
-    """The text function of a list leaf whose hole ends ``piece`` of a
-    template: the list starts on the hole's line."""
-    line = piece[piece.rfind("\n"):]
-    nl = line[: len(line) - len(line.lstrip("\n "))]
-    return lambda v: _int_list(v, nl) if v else "[]"
+def _write_rows(rows: Rows, nl: str, write) -> str:
+    """Write the list of ``rows``' trees as the stdlib does on a line whose
+    ``"\\n"`` and indent are ``nl``, a batch of rows at a time, but for the
+    closing text, which is returned.  The sample's holed text is indented to
+    a row's line; each column of a batch is made at once (``_column``)."""
+    inner = nl + "  "
+    lists: list[bool] = []
+    pieces = [p.replace("\n", inner) for p in template(_indented, _holed(rows.sample, lists))]
+    texts = [_list_leaf(p, inner) if is_list else None for p, is_list in zip(pieces, lists)]
+    fill = "%s".join(p.replace("%", "%%") for p in pieces).__mod__
+    sep, comma = "[" + inner, "," + inner
+    leaves = iter(rows.leaves)
+    while batch := list(islice(leaves, _ROW_BATCH)):
+        columns = map(_column, texts, zip(*batch))
+        write(sep + comma.join(map(fill, zip(*columns))))
+        sep = comma
+    return nl + "]" if sep is comma else "[]"
 
 
 # The writers inside exact_ints and the limit to restore when the last one
@@ -135,96 +164,40 @@ def exact_ints():
 
 def dump(obj, fh) -> None:
     """Write ``obj`` to the text file ``fh`` byte for byte as
-    ``json.dump(obj, fh, indent=2)`` does.
+    ``json.dump(obj, fh, indent=2)`` does, in batches of about ``_BATCH``
+    characters, with ints of any size written exactly (``exact_ints``).
 
-    Exact ``dict`` (all keys exactly ``str``), ``list``, ``str``, ``int``,
-    ``bool`` and ``None`` are written here; a list of exact ints is joined in
-    one step.  Any other value (a tuple, a float, a subclass of ``int``,
-    ``str``, ``list`` or ``dict``, a dict with a non-str key) falls back to
-    the stdlib: ``json.dumps(value, indent=2)``, re-indented to its depth by
-    putting the depth's indent after each ``"\\n"``.  JSON text holds no raw
-    newline, so the result is byte-identical.  A ``Rows`` is written as the
-    list of its rows' trees would be.  There is no cycle check:
-    ``to_json`` builds fresh trees.  Ints of any size are written exactly
-    (``exact_ints``).
+    The encoder's ``default`` hook takes each ``Rows`` and returns ``HOLE``,
+    so the chunk the encoder yields next is that hole, whatever other text
+    equals it; the rows go there, at the indent of the hole's line.  Any
+    other value the stdlib cannot encode raises its own TypeError.  There
+    is no cycle check: ``to_json`` builds fresh trees.
     """
-    chunks: list[str] = []
-    append = chunks.append
-    write = fh.write
-    quote = encode_basestring_ascii
-    scalar = _SCALARS.get
-    only_int, only_str = {int}, {str}
+    found: list[Rows] = []
 
-    def flush() -> None:
-        write("".join(chunks))
-        chunks.clear()
+    def default(o):
+        if type(o) is not Rows:
+            return _refuse(o)
+        found.append(o)
+        return HOLE
 
-    def value(v, nl: str) -> None:
-        # nl is "\n" plus the indent of the line that v starts on.
-        t = type(v)
-        if t is list:
-            if not v:
-                append("[]")
-                return
-            if {*map(type, v)} == only_int:
-                append(_int_list(v, nl))
-                return
-            inner = nl + "  "
-            sep, comma = "[" + inner, "," + inner
-            for x in v:
-                text = scalar(type(x))
-                if text is None:
-                    append(sep)
-                    value(x, inner)
-                else:
-                    append(sep + text(x))
-                if len(chunks) >= _BATCH:
-                    flush()
-                sep = comma
-            append(nl + "]")
-        elif t is dict and {*map(type, v)} <= only_str:
-            if not v:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep, comma = "{" + inner, "," + inner
-            for k, x in v.items():
-                text = scalar(type(x))
-                if text is None:
-                    append(sep + quote(k) + ": ")
-                    value(x, inner)
-                else:
-                    append(sep + quote(k) + ": " + text(x))
-                if len(chunks) >= _BATCH:
-                    flush()
-                sep = comma
-            append(nl + "}")
-        elif t is Rows:
-            rows(v, nl)
-        else:
-            append(json.dumps(v, indent=2).replace("\n", nl))
+    batch: list[str] = []
+    size, nl = 0, "\n"  # nl: "\n" and the indent of the last line written
 
-    def rows(v: Rows, nl: str) -> None:
-        # The template is the sample with a hole for each leaf, written by
-        # value() at a row's indent and cut at the holes; a row is its pieces
-        # joined by the texts of the row's leaves, made a column of a batch
-        # at a time (_column).
-        inner = nl + "  "
-        lists: list[bool] = []
-        flush()
-        value(_holed(v.sample, lists), inner)
-        pieces = "".join(chunks).split(quote(_HOLE))
-        chunks.clear()
-        texts = [_list_leaf(p) if is_list else None for p, is_list in zip(pieces, lists)]
-        fill = "%s".join(p.replace("%", "%%") for p in pieces).__mod__
-        sep, comma = "[" + inner, "," + inner
-        leaves = iter(v.leaves)
-        while batch := list(islice(leaves, _ROW_BATCH)):
-            columns = map(_column, texts, zip(*batch))
-            write(sep + comma.join(map(fill, zip(*columns))))
-            sep = comma
-        append(nl + "]" if sep is comma else "[]")
+    def flush() -> str:
+        text = "".join(batch)
+        batch.clear()
+        fh.write(text)
+        return _last_indent(text, nl)
 
+    encoder = json.JSONEncoder(indent=2, check_circular=False, default=default)
     with exact_ints():
-        value(obj, "\n")
+        for chunk in encoder.iterencode(obj):
+            if found:
+                nl, size = flush(), 0
+                chunk = _write_rows(found.pop(), nl, fh.write)
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH:
+                nl, size = flush(), 0
         flush()

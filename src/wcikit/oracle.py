@@ -121,10 +121,12 @@ def hygienic_primes(primes, weights, degrees) -> tuple[int, ...]:
     return tuple(p for p in primes if all(v % p for v in values))
 
 
-def probe_primes(primes, weights, degrees, allow_bad_primes: bool) -> tuple[int, ...]:
+def probe_primes(primes, weights, degrees, allow_bad_primes: bool,
+                 override: str = "allow_bad_primes=True") -> tuple[int, ...]:
     """The fields a probe scans: the distinct primes in the given order, each
     checked to be a prime below 2^16, without those dividing a weight or
-    degree unless ``allow_bad_primes``.  Raises ValueError if none is left."""
+    degree unless ``allow_bad_primes``.  Raises ValueError if none is left,
+    naming ``override``, the caller's way to keep them."""
     primes = tuple(dict.fromkeys(int(p) for p in primes))
     for p in primes:
         GF(p)
@@ -134,7 +136,7 @@ def probe_primes(primes, weights, degrees, allow_bad_primes: bool) -> tuple[int,
     if not usable:
         raise ValueError(
             f"all of the primes {list(primes)} divide a weight or degree; "
-            "pass allow_bad_primes=True to probe anyway"
+            f"pass {override} to probe anyway"
         )
     return usable
 

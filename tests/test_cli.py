@@ -349,10 +349,12 @@ class TestProbe:
             assert code == 2 and out == "" and "must be at least 1" in err, (flag, value)
 
     def test_all_primes_bad_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "probe", "1,1,1,1", "--degrees", "3", "--primes", "3", "--seed", "1",
-        )
-        assert code == 2 and "allow_bad_primes" in err
+        # The refusal names the flag that keeps the primes, not the API's keyword.
+        for argv in (("1,1,1,1", "--degrees", "3", "--primes", "3", "--seed", "1"),
+                     ("1,1", "--degrees", "2", "--primes", "2")):
+            code, _, err = run_cli(capsys, "probe", *argv)
+            assert code == 2 and "pass --allow-bad-primes to probe" in err, argv
+            assert "allow_bad_primes" not in err, argv
 
 
 class TestCensus:

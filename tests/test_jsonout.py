@@ -97,6 +97,34 @@ def test_rows_match_the_list_of_their_trees():
             assert dumped(doc) == json.dumps({**doc, "rows": trees}, indent=2), n
 
 
+def test_rows_go_where_their_hole_is_not_where_its_text_is():
+    # A genuine "\x00" encodes as a hole does, and in a dict it is a chunk
+    # of its own, as a key and as a value; the rows go where the encoder
+    # met the Rows, at the indent of that line.  Each shape builds its
+    # document from n_rows(n) twice: once given Rows, once the trees.
+    sample = {"i": 0, "sq": [0, 1], "nested": {"s": "%s\x00"}}
+
+    def trees(n):
+        return [{"i": i, "sq": list(range(i % 3)), "nested": {"s": f"%s\x00{i}"}} for i in range(n)]
+
+    def rows(n):
+        return Rows(sample, iter([(t["i"], t["sq"], t["nested"]["s"]) for t in trees(n)]))
+
+    pad = ["\x00" * 7] * _BATCH
+    for shape in (
+        lambda n_rows: {"nul": "\x00", "\x00": "\x00", "rows": n_rows(3)},
+        lambda n_rows: {"first": n_rows(2), "\x00": ["\x00"], "second": n_rows(_ROW_BATCH + 1)},
+        lambda n_rows: [n_rows(2), "\x00", [n_rows(0), {"deep": n_rows(1)}], n_rows(4)],
+        lambda n_rows: {"pad": pad, "nul": "\x00", "rows": n_rows(5), "tail": [pad[0]]},
+        lambda n_rows: n_rows(3),
+    ):
+        assert dumped(shape(rows)) == json.dumps(shape(trees), indent=2)
+    # A row that is one leaf: an int list or a scalar, on the row's own line.
+    for sample, leaves in (([0], [[1, 2], [], [3]]), (0, [1, "a", None])):
+        assert dumped({"rows": Rows(sample, [(v,) for v in leaves])}) == json.dumps(
+            {"rows": leaves}, indent=2)
+
+
 needs_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text limit before Python 3.11"
 )

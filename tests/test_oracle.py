@@ -242,7 +242,7 @@ class TestQuasiSmoothProbe:
     def test_hygiene_excludes_bad_primes(self):
         verdict = quasi_smooth_probe(FERMAT, (3, 5))
         assert verdict.fields_probed == (5,)  # 3 divides the degree
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pass allow_bad_primes=True to probe anyway"):
             quasi_smooth_probe(FERMAT, (3,))
         forced = quasi_smooth_probe(FERMAT, (3,), allow_bad_primes=True)
         assert forced.fields_probed == (3,)
