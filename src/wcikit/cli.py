@@ -129,7 +129,7 @@ def cmd_wellform(args) -> int:
 
 def cmd_strata(args) -> int:
     w = Weights.parse(args.weights)
-    strata = singular_strata(w, maximal_only=not args.all, max_size=args.max_size)
+    strata = singular_strata(w, maximal_only=not args.all)
     _emit(args, {"weights": w.to_json(), "maximal_only": not args.all, "strata": _rows(strata)})
     return EXIT_OK
 
@@ -175,7 +175,10 @@ _BOUND_FLAGS = ("max_n", "max_weight", "max_weight_sum", "max_k", "max_degree", 
 def _census_bounds(args) -> CensusBounds:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"census config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(base, dict):
             raise ValueError("census config must be a JSON object")
     for name in _BOUND_FLAGS:
@@ -242,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strata", help="singular strata of a well-formed weight tuple")
     p.add_argument("weights")
     p.add_argument("--all", action="store_true",
-                   help="all singular subsets, not just the covering family (refused beyond "
-                   "2^20 subsets; bound them with --max-size)")
-    p.add_argument("--max-size", type=int, default=None,
-                   help="bound the subset size in --all mode (at least 1; refused without --all)")
+                   help="one stratum per orbit type (the indices of each weight-value set with "
+                   "a common divisor), not just the covering family (refused past 2^20 value sets)")
     common(p)
     p.set_defaults(func=cmd_strata)
 

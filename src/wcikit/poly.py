@@ -80,9 +80,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def mul_int(self, a, n: int):
-        return a * n
-
     def pow(self, a, e: int):
         return a**e
 
@@ -153,9 +150,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero mod {self.p}")
         return pow(a, -1, self.p)
-
-    def mul_int(self, a, n: int):
-        return (a * n) % self.p
 
     def pow(self, a, e: int):
         return pow(a, e, self.p)
@@ -446,7 +440,7 @@ def partial_derivative(f: SparsePoly, index: int) -> SparsePoly:
         e = exps[index]
         if e == 0:
             continue
-        c = f.field.mul_int(coeff, e)
+        c = f.field.mul(coeff, e)
         if not c:
             continue
         terms[exps[:index] + (e - 1,) + exps[index + 1 :]] = c
@@ -464,12 +458,9 @@ def restrict(f: SparsePoly, indices) -> SparsePoly:
     keep = set(indices)
     if keep and (min(keep) < 0 or max(keep) > f.weights.dim):
         raise ValueError(f"stratum indices {sorted(keep)} out of range")
-    terms = {
-        exps: coeff
-        for exps, coeff in f.terms
-        if all(e == 0 for i, e in enumerate(exps) if i not in keep)
-    }
-    return SparsePoly.from_terms(f.field, f.weights, terms, degree=f.degree)
+    # A sub-list of f's terms is still sorted, distinct and of f's degree.
+    terms = tuple(t for t in f.terms if all(e == 0 for i, e in enumerate(t[0]) if i not in keep))
+    return SparsePoly(f.field, f.weights, f.degree, terms)
 
 
 def evaluate(f: SparsePoly, point):
@@ -501,8 +492,9 @@ def to_prime_field(f: SparsePoly, p: int) -> SparsePoly:
         return f
     if isinstance(f.field, PrimeField):
         raise ValueError(f"cannot move a {f.field.name} polynomial to GF({p})")
-    terms = {exps: field.coerce(coeff) for exps, coeff in f.terms}
-    return SparsePoly.from_terms(field, f.weights, terms, degree=f.degree)
+    # f's terms are sorted, distinct and of f's degree; those vanishing mod p drop.
+    terms = tuple((exps, c) for exps, coeff in f.terms if (c := field.coerce(coeff)))
+    return SparsePoly(field, f.weights, f.degree, terms)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ enumerates the singular coordinate strata of a well-formed tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 from operator import eq, ge
 
 # Entries beyond this cap are rejected at construction; arithmetic stays exact.
 MAX_ENTRY = 2**63 - 1
 
-# Index subsets a singular-subset sweep may enumerate before it refuses.
+# Index subsets (weight-value sets, for orbit types) a sweep may walk before it refuses.
 MAX_SWEEP_SUBSETS = 2**20
 
 OVERALL_GCD = "overall-gcd"
@@ -347,36 +347,40 @@ def _singular_index_sets(entries, sizes) -> set[tuple[int, ...]]:
     return {idx for cover in covers for s in sizes for idx in combinations(cover, s)}
 
 
-def singular_strata(w, maximal_only: bool = True, max_size: int | None = None) -> list[Stratum]:
-    """Singular strata of a well-formed weight tuple.
+def singular_strata(w, maximal_only: bool = True) -> list[Stratum]:
+    """Singular strata of a well-formed weight tuple, sorted by (dimension
+    descending, indices ascending).
 
     With ``maximal_only`` the covering family is returned: one stratum per
     prime p dividing some weight, on the indices of the p-divisible weights,
     deduplicated by index set; delta is the full gcd over the index set (it
-    may be composite when several primes share a pattern).  Otherwise every
-    index subset whose weights share a divisor is returned, up to
-    ``max_size`` if given; the subsets of the covering sets are walked, and
-    more than ``MAX_SWEEP_SUBSETS`` of them raise ValueError.  A ``max_size``
-    below 1, or one given with ``maximal_only``, raises ValueError.  Sorted
-    by (dimension descending, indices ascending).
-    """
-    if max_size is not None:
-        if maximal_only:
-            raise ValueError("max_size bounds the all-subsets mode only (strata --all)")
-        if max_size < 1:
-            raise ValueError(f"max_size must be at least 1, got {max_size}")
+    may be composite when several primes share a pattern).  Otherwise one
+    stratum per orbit type: for each set V of weight values with
+    gcd(V) > 1, on every index whose weight is in V, with delta gcd(V); it
+    stands for every index subset with the values V, as whether a degree
+    cuts a stratum depends only on its values.  Each V lies among the
+    values of a covering stratum, so only their nonempty subsets are
+    walked; more than ``MAX_SWEEP_SUBSETS`` of them raise ValueError."""
     weights = as_weights(w)
     if not is_well_formed_space(weights):
         raise ValueError("singular strata are defined for well-formed weights; run well_form first")
     entries = _space_entries(weights)
     if maximal_only:
-        index_sets = _covering_index_sets(entries)
+        strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in _covering_index_sets(entries)]
     else:
-        bound = len(entries) if max_size is None else min(max_size, len(entries))
-        try:
-            index_sets = _singular_index_sets(entries, range(1, bound + 1))
-        except ValueError as exc:
-            raise ValueError(f"{exc}; bound the subset size (strata --all --max-size)") from None
-    strata = [Stratum(idx, gcd(*weights.at(idx))) for idx in index_sets]
+        positions: dict[int, list[int]] = {}
+        for i, a in enumerate(entries):
+            positions.setdefault(a, []).append(i)
+        covers = {tuple(v for v in sorted(positions) if v % b == 0) for b in _coprime_base(positions)}
+        if (count := sum(2 ** len(values) - 1 for values in covers)) > MAX_SWEEP_SUBSETS:
+            raise ValueError(f"the orbit-type sweep would enumerate {count} weight-value sets, "
+                             f"more than {MAX_SWEEP_SUBSETS}")
+        # One stratum per distinct index set: its indices come ascending from
+        # sorted() and delta > 1 is the gcd of its values, so it is built
+        # past the validator.
+        strata = [_unchecked(Stratum, indices=idx, delta=d) for idx, d in {
+            tuple(sorted(chain.from_iterable(map(positions.__getitem__, v)))): gcd(*v)
+            for values in covers for size in range(1, len(values) + 1) for v in combinations(values, size)
+        }.items()]
     strata.sort(key=lambda s: (-s.dim, s.indices))
     return strata

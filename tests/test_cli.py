@@ -107,16 +107,18 @@ class TestStrata:
         assert len(data["strata"]) == 2
 
     def test_sweep_bound(self, capsys):
+        # The 39 twos are one orbit type, so --all lists one stratum; the weak
+        # check of analyze still sweeps index subsets, and refuses.
         w40 = ",".join(["1", "1"] + ["2"] * 39)
-        code, out, err = run_cli(capsys, "strata", w40, "--all")
-        assert code == 2 and out == "" and "--max-size" in err
-        data = run_json(capsys, "strata", w40, "--all", "--max-size", "2")
-        assert len(data["strata"]) == 39 + 741
+        data = run_json(capsys, "strata", w40, "--all")
+        assert data["strata"] == [{"indices": list(range(2, 41)), "delta": 2, "dim": 38}]
+        code, out, err = run_cli(capsys, "strata", "1,1," + ",".join(map(str, range(2, 43, 2))), "--all")
+        assert code == 2 and out == "" and "2097304 weight-value sets, more than 1048576" in err
         code, out, err = run_cli(capsys, "analyze", w40, "--degrees", ",".join(["3"] * 20))
         assert code == 2 and out == "" and "68923264410 index subsets" in err
 
     def test_analyze_sweep_refusal_names_no_strata_flag(self, capsys):
-        # The --max-size hint belongs to strata --all; analyze has no such flag.
+        # analyze's refusal is its own: it names no strata flag.
         w41 = ",".join(["1", "1"] + ["2"] * 39)
         code, out, err = run_cli(capsys, "analyze", w41, "--degrees", ",".join(["3"] * 20))
         assert code == 2 and out == ""
@@ -128,16 +130,10 @@ class TestStrata:
         assert code == 2 and "well-formed" in err
 
     def test_bad_max_size_exits_2(self, capsys):
-        for argv, message in (
-            (("--all", "--max-size", "-1"), "at least 1"),
-            (("--all", "--max-size", "0"), "at least 1"),
-            (("--max-size", "0"), "strata --all"),
-            (("--max-size", "2"), "strata --all"),
-        ):
+        # strata has no --max-size: argparse refuses it, with or without --all.
+        for argv in (("--all", "--max-size", "1"), ("--all", "--max-size", "0"), ("--max-size", "2")):
             code, out, err = run_cli(capsys, "strata", "1,1,2", *argv)
-            assert code == 2 and out == "" and message in err, argv
-        data = run_json(capsys, "strata", "1,1,2", "--all", "--max-size", "1")
-        assert data["strata"] == [{"indices": [2], "delta": 2, "dim": 0}]
+            assert code == 2 and out == "" and "unrecognized arguments: --max-size" in err, argv
 
 
 class TestWitness:
@@ -394,6 +390,15 @@ class TestCensus:
         code, stdout, err = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
         assert code == 2 and stdout == ""
         assert err == "error: census config must be a JSON object\n"
+        assert not out.exists()
+
+    def test_config_not_json_exits_2_naming_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text("max_n = 2\n")
+        out = tmp_path / "census.jsonl"
+        code, stdout, err = run_cli(capsys, "census", "--config", str(cfg), "--output", str(out))
+        assert code == 2 and stdout == ""
+        assert err == f"error: census config {cfg} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
         assert not out.exists()
 
     def test_config_file(self, capsys, tmp_path):
@@ -777,7 +782,8 @@ CATALOGUE = [
      {"f.txt": "x0^1000 + x1^1000\n"}, 0),
     ("probe-generic-largest-prime-degree-1000",
      ["probe", "1,1", "--degrees", "1000", "--primes", "65521"], {}, 2),
-    ("strata-all-41-weights", ["strata", "1,1," + ",".join(["2"] * 39), "--all"], {}, 2),
+    ("strata-all-41-weights", ["strata", "1,1," + ",".join(["2"] * 39), "--all"], {}, 0),
+    ("strata-all-21-even-values", ["strata", "1,1," + ",".join(map(str, range(2, 43, 2))), "--all"], {}, 2),
     ("analyze-63-bit-weights",
      ["analyze", f"{2**63 - 1},{2**63 - 2},{2**63 - 3}", "--degrees", str(2**63 - 1)], {}, 0),
     ("analyze-300-weights", ["analyze", ",".join(["1"] * 300), "--degrees", "2"], {}, 0),

@@ -73,6 +73,26 @@ def brute_force_singular_subsets(entries):
     return out
 
 
+def brute_force_orbit_types(entries):
+    """Independent oracle for the all-subsets mode: for each value set, the
+    union of the singular index subsets with those values, and its gcd, in
+    report order.  Walks the index subsets in index order and extends only
+    those whose gcd exceeds 1, since no superset of a coprime subset is
+    singular."""
+    unions = {}
+    stack = [((), 0)]
+    while stack:
+        idx, g = stack.pop()
+        for i in range(idx[-1] + 1 if idx else 0, len(entries)):
+            d = gcd(g, entries[i])
+            if d > 1:
+                sub = idx + (i,)
+                unions.setdefault(frozenset(entries[j] for j in sub), set()).update(sub)
+                stack.append((sub, d))
+    strata = [(tuple(sorted(union)), gcd(*values)) for values, union in unions.items()]
+    return sorted(strata, key=lambda st: (-len(st[0]), st[0]))
+
+
 def brute_force_maximal_family(entries):
     """Independent oracle for the covering family: trial-division primes."""
     family = {}
@@ -321,28 +341,63 @@ class TestSingularStrata:
             singular_strata((1, 2, 2))
 
     def test_all_subsets_mode_matches_brute_force(self):
+        # One stratum per value set V with gcd(V) > 1: the union of the
+        # singular index subsets with the values V, which is every index
+        # whose weight is in V.
         cases = [(1, 2, 3), (1, 1, 2, 2, 2), (1, 6, 10, 15), (2, 3, 5), (1, 1, 4, 6)] + union_cases()
         for w in cases:
             if not is_well_formed_space(w):
                 continue
             strata = singular_strata(w, maximal_only=False)
-            assert {s.indices for s in strata} == brute_force_singular_subsets(w), w
+            assert [(s.indices, s.delta) for s in strata] == brute_force_orbit_types(w), w
+
+    def test_all_subsets_mode_on_the_whole_box(self):
+        # Every well-formed tuple of 2 to 6 entries up to 8, in report order.
+        checked = 0
+        for n in range(2, 7):
+            for w in product(range(1, 9), repeat=n):
+                if not is_well_formed_space(w):
+                    continue
+                strata = singular_strata(w, maximal_only=False)
+                assert [(s.indices, s.delta) for s in strata] == brute_force_orbit_types(w), w
+                checked += 1
+        assert checked == 261_227
+
+    def test_all_subsets_mode_lists_every_singular_subset_where_no_value_repeats(self):
+        # With each weight above 1 on one index, a value set is an index
+        # subset, so the list is every singular index subset.
+        cases = [(1, 6, 10, 15), (1, 1, 2, 4, 6, 8, 9, 12)] + union_cases()
+        seen = 0
+        for w in cases:
+            if not is_well_formed_space(w) or len({a for a in w if a > 1}) < sum(a > 1 for a in w):
+                continue
+            strata = singular_strata(w, maximal_only=False)
+            expected = sorted(brute_force_singular_subsets(w), key=lambda idx: (-len(idx), idx))
+            assert [s.indices for s in strata] == expected, w
             assert all(s.delta == gcd(*(w[i] for i in s.indices)) for s in strata), w
+            seen += bool(strata)
+        assert seen > 1000
 
     def test_sweep_bound(self, monkeypatch):
-        # 2^39 - 1 subsets at N = 40 are refused before any is enumerated.
+        # The 39 twos at N = 40 are one orbit type: one stratum, at once.
         w40 = (1, 1) + (2,) * 39
         start = time.process_time()
-        with pytest.raises(ValueError, match="549755813887 index subsets.*--max-size"):
-            singular_strata(w40, maximal_only=False)
+        strata = singular_strata(w40, maximal_only=False)
         assert time.process_time() - start < 1
-        assert len(singular_strata(w40, maximal_only=False, max_size=2)) == 39 + 741
-        # The five 2s of (1,1,2^5) give 2^5 - 1 subsets: allowed at 31, refused at 30.
-        w = (1, 1) + (2,) * 5
+        assert [(s.indices, s.delta, s.dim) for s in strata] == [(tuple(range(2, 41)), 2, 38)]
+        # Twenty-one distinct even values give 2^21 - 1 value sets of the
+        # prime 2 alone: refused before any is enumerated.
+        start = time.process_time()
+        with pytest.raises(ValueError, match="2097304 weight-value sets, more than 1048576"):
+            singular_strata((1, 1) + tuple(range(2, 43, 2)), maximal_only=False)
+        assert time.process_time() - start < 1
+        # The five values of (1,1,2,4,8,16,32) give 2^5 - 1 value sets:
+        # allowed at 31, refused at 30.
+        w = (1, 1, 2, 4, 8, 16, 32)
         monkeypatch.setattr("wcikit.weights.MAX_SWEEP_SUBSETS", 31)
         assert len(singular_strata(w, maximal_only=False)) == 31
         monkeypatch.setattr("wcikit.weights.MAX_SWEEP_SUBSETS", 30)
-        with pytest.raises(ValueError, match="31 index subsets"):
+        with pytest.raises(ValueError, match="31 weight-value sets"):
             singular_strata(w, maximal_only=False)
 
     def test_trusted_strata_equal_validated_ones(self):
@@ -357,18 +412,6 @@ class TestSingularStrata:
                     public = Stratum(st.indices, st.delta)
                     assert st == public and hash(st) == hash(public), (w, st)
                     assert st == Stratum.of(w, st.indices)
-
-    def test_all_subsets_max_size(self):
-        got = singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=1)
-        assert all(s.dim == 0 for s in got) and len(got) == 3
-
-    def test_max_size_refused_below_one_or_without_all_mode(self):
-        for max_size in (0, -1):
-            with pytest.raises(ValueError, match=f"max_size must be at least 1, got {max_size}"):
-                singular_strata((1, 1, 2, 2, 2), maximal_only=False, max_size=max_size)
-        for max_size in (0, 2):
-            with pytest.raises(ValueError, match="all-subsets mode only"):
-                singular_strata((1, 1, 2, 2, 2), maximal_only=True, max_size=max_size)
 
     def test_maximal_family_matches_prime_oracle(self):
         rng = random.Random(20240811)
