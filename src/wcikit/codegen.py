@@ -27,6 +27,12 @@ def reduced(e: int, p: int) -> int:
     return (e - 1) % (p - 1) + 1 if e else 0
 
 
+def trailing(exps, p) -> tuple[int, int]:
+    """The ``reduced`` exponents of the last two coordinates of an exponent
+    vector, a lone coordinate read as the second with 0 before it."""
+    return tuple(reduced(e, p) for e in ((0,) + exps)[-2:])
+
+
 def source(kind, term_lists, column, p):
     """The lines and the returned expression of a function of a point ``pt``
     (a tuple of residues mod p), with the coefficients K0, K1, ... in term
@@ -34,9 +40,10 @@ def source(kind, term_lists, column, p):
     ``powt[pt[i]][c]``, c the ``column`` of the ``reduced`` e.
 
     An "ev" function returns the value of its one term list; an "eq" one
-    the tuple of the coefficients of its one list as a polynomial in the
-    last coordinate, by ascending reduced exponent; a "row" generator
-    yields the value of each list, e.g. for the row [3*x1^2, x0*x1 + 4*x0^2]
+    the tuple of the sums of its one list's terms grouped by their
+    ``trailing`` exponents, in ascending order of those, each term read
+    without its last two coordinates; a "row" generator yields the value of
+    each list, e.g. for the row [3*x1^2, x0*x1 + 4*x0^2]
     over GF(5) against a table of every exponent (``column[e] == e``)::
 
         def row(pt):
@@ -57,7 +64,7 @@ def source(kind, term_lists, column, p):
     if kind == "eq":
         groups = {}
         for exps, name in lists[0]:
-            groups.setdefault(reduced(exps[-1], p), []).append((exps[:-1] + (0,), name))
+            groups.setdefault(trailing(exps, p), []).append((exps[:-2], name))
         lists = [groups[e] for e in sorted(groups)]
     lines, read, sums = [], set(), []
     for terms in lists:

@@ -288,25 +288,32 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     A matrix of one row with ``rank`` 1 has rank below 1 exactly where every
     entry vanishes, so its entries are scanned as further equations after
     the given ones.  One generated function runs the loop, e.g. for f0 =
-    x1^4 + 2*x0^3*x2, a further equation f1 and one f2 past the bound below,
-    over GF(5) and against a table of every exponent::
+    x1^4 + 2*x0^3*x2, a further equation f1 = x0*x1^3 + 3*x1*x2^3 + x2^4 and
+    one f2 past the bound below, over GF(5) and against a table of every
+    exponent::
 
         def scan(points):
             out = []
-            Q = Q1 = None
+            Q = W = Q1 = W1 = None
             for pt in points:
                 if Q != pt[:-1]:
                     Q = pt[:-1]
-                    P1_4 = powt[pt[1]][4]
-                    P0_3 = powt[pt[0]][3]
-                    C0_0, C0_1, = K0*P1_4 % 5, K1*P0_3 % 5,
+                    if W != pt[:-2]:
+                        W = pt[:-2]
+                        P0_3 = powt[pt[0]][3]
+                        G0 = K1*P0_3 % 5, K0 % 5,
+                    U = powt[pt[-2]]
+                    C0_0, C0_1, = (G0[1]*U[4]) % 5, G0[0],
                 T = powt[pt[-1]]
                 if (C0_0 + C0_1*T[1]) % 5:
                     continue
                 if Q1 is not Q:
                     Q1 = Q
-                    C1_0, C1_2, = E1(pt)
-                if (C1_0 + C1_2*T[2]) % 5:
+                    if W1 is not W:
+                        W1 = W
+                        G1 = E1(pt)
+                    C1_0, C1_3, C1_4, = (G1[2]*U[3]) % 5, (G1[1]*U[1]) % 5, G1[0],
+                if (C1_0 + C1_3*T[3] + C1_4*T[4]) % 5:
                     continue
                 if F2(pt):
                     continue
@@ -314,18 +321,24 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
             return out
 
     with f0's coefficients bound as K0 and K1.  Equations are polynomials in
-    the last coordinate while their terms total at most ``_CHUNK_TERMS``, so
-    no compile() sees more, with coefficients computed once per prefix
-    ``pt[:-1]`` by an "eq" body (``codegen.source``): the first equation's
-    inline when the prefix changes, each later one's by a shared function
-    (E1 here) the first time a point of the prefix passes the equations
-    before it (``Qj``, compared by identity, holds the prefix they were
-    computed for and so keeps it alive).  An exhaustive slice comes in runs
-    of p points sharing a prefix, where a point costs a few products per
-    equation; sampled draws rarely share one, and laziness spares them the
-    coefficients of equations they never reach.  The power table has one
-    column per distinct ``_reduced`` exponent, which ``column`` maps.  A
-    further equation (F2 here) is a ``_compiled_eval`` function.
+    the last two coordinates while their terms total at most
+    ``_CHUNK_TERMS``, so no compile() sees more.  An "eq" body
+    (``codegen.source``) sums their terms by ``codegen.trailing`` exponents
+    once per prefix ``pt[:-2]``: Gj holds the sums of the terms in
+    x_{N-1}^a*x_N^e by ascending (a, e).  The coefficients in x_N (Cj_e)
+    follow from these sums and the powers ``U`` of x_{N-1} once per prefix
+    ``pt[:-1]``.  The first equation's are computed inline when a prefix
+    changes, each later one's through a shared function (E1 here) the first
+    time a point of the prefix passes the equations before it (``Qj`` and
+    ``Wj``, compared by identity, hold the prefixes they were computed for
+    and so keep them alive).  An exhaustive slice comes in runs of p points
+    sharing ``pt[:-1]`` and p^2 sharing ``pt[:-2]``, where a point costs a
+    few products per equation; sampled draws rarely share either, and
+    laziness spares them the sums of equations they never reach.  A lone
+    coordinate has no x_{N-1}: its terms all fall in groups with a = 0.
+    The power table has one column per distinct ``_reduced`` exponent,
+    which ``column`` maps.  A further equation (F2 here) is a
+    ``_compiled_eval`` function.
 
     Any other matrix is tested at the equations' common zeros, as
     ``matrix_rank([R0(pt), R1(pt)], field) < rank`` for two rows, which
@@ -349,6 +362,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     # The shared functions by name, and the terms of the equation computed inline.
     units, prefixes, body, first = {}, [], [], ()
     budget, last_row = _CHUNK_TERMS, "        T = powt[pt[-1]]"
+    u_row = "            U = powt[pt[-2]]"
     for j, f in enumerate(equations):
         budget -= len(f.terms)
         if budget < 0:
@@ -358,18 +372,27 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
         if not f.terms:
             # The zero polynomial vanishes everywhere.
             continue
-        es = sorted({_reduced(exps[-1], p) for exps, _ in f.terms})
-        unpack = "".join(f"C{j}_{e}, " for e in es)
+        keys = sorted({codegen.trailing(exps, p) for exps, _ in f.terms})
         if first:
-            prefixes.append(f"Q{j} = ")
+            prefixes.append(f"Q{j} = W{j} = ")
             units[f"E{j}"] = ("eq", [f.terms])
             body += [f"        if Q{j} is not Q:", f"            Q{j} = Q"]
-            body.append(f"            {unpack}= E{j}(pt)")
+            body += [f"            if W{j} is not W:", f"                W{j} = W"]
+            body.append(f"                G{j} = E{j}(pt)")
         else:
             first = f.terms
             reads, value = codegen.source("eq", [first], column, p)
             body += ["        if Q != pt[:-1]:", "            Q = pt[:-1]"]
-            body += [" " * 8 + x for x in reads] + [f"            {unpack}= {value}"]
+            body += ["            if W != pt[:-2]:", "                W = pt[:-2]"]
+            body += [" " * 12 + x for x in reads] + [f"                G{j} = {value}"]
+        if keys[-1][0] and u_row not in body:
+            body.append(u_row)
+        # Cj_e, the coefficient of x_N^e: the sum over a of group (a, e) times x_{N-1}^a.
+        es = sorted({e for _, e in keys})
+        sums = [" + ".join(f"G{j}[{i}]*U[{column[a]}]" if a else f"G{j}[{i}]"
+                           for i, (a, b) in enumerate(keys) if b == e) for e in es]
+        sums = ", ".join(f"({s}) % {p}" if "U" in s else s for s in sums)
+        body.append("            " + "".join(f"C{j}_{e}, " for e in es) + f"= {sums},")
         if es[-1] and last_row not in body:
             body.append(last_row)
         value = " + ".join(f"C{j}_{e}*T[{column[e]}]" if e else f"C{j}_0" for e in es)
@@ -384,7 +407,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     if matrix:
         rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
         body += [f"        if matrix_rank([{rows}], field) >= {rank}:", "            continue"]
-    lines = ["def scan(points):", "    out = []", f"    Q = {''.join(prefixes)}None"]
+    lines = ["def scan(points):", "    out = []", f"    Q = W = {''.join(prefixes)}None"]
     lines += ["    for pt in points:", *body, "        out.append(pt)", "    return out"]
     shared, compiled = codegen.functions(
         [*units.values()], powt, column, p, _CHUNK_TERMS, lines, len(first)

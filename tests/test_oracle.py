@@ -1171,11 +1171,71 @@ def system(polys, weights, p):
     return PolySystem(tuple(parse_poly(f, weights, GF(p)) for f in polys))
 
 
+def sparse_member(rng, p):
+    """A member of random shape over GF(p): 1 to 5 coordinates of weights in
+    {1, 2, 3}, one or two equations of degree at most 6, each keeping every
+    term of a generic member with probability 1/2."""
+    weights = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 5)))
+    polys = []
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(1, 6)
+        f = generic_poly(weights, d, GF(p), rng.randrange(10**6))
+        kept = [t for t in f.terms if rng.random() < 0.5]
+        polys.append(SparsePoly.from_terms(GF(p), weights, kept, degree=d))
+    return PolySystem(tuple(polys))
+
+
 class TestGroupedScan:
-    """The inline equations are polynomials in the last coordinate whose
-    coefficients are computed once per prefix, and exponents are reduced mod
-    p-1; every point order and every shape of system agrees with the
-    reference."""
+    """The inline equations are polynomials in the last two coordinates:
+    their term sums are computed once per prefix (x_0, ..., x_{N-2}) and
+    their coefficients in x_N once per prefix (x_0, ..., x_{N-1}), with
+    exponents reduced mod p-1; every point order and every shape of system
+    agrees with the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_sparse_members_in_every_order(self, seed):
+        # Product order, the orbit slice, a shuffled order (sampled draws,
+        # which share no prefix) and the slice of a stratum that leaves out
+        # x_N or x_{N-1}, so that one or both prefixes change at every point.
+        rng = random.Random(seed)
+        shapes, found = set(), 0
+        for _ in range(100):
+            p = rng.choice((2, 3, 5, 7))
+            s = sparse_member(rng, p)
+            weights, n = s.weights.entries, len(s.weights)
+            shapes.add((n, len(s.polys)))
+            points = nonzero_points(p, n)
+            shuffled = rng.sample(points, len(points))
+            orders = [points, list(_orbit_slice(p, weights)), shuffled]
+            if n > 1:
+                off = {rng.choice((n - 2, n - 1)), *rng.sample(range(n), rng.randint(0, n - 2))}
+                orders.append(list(_orbit_slice(p, weights, [i for i in range(n) if i not in off])))
+            for order in orders:
+                found += len(scans_agree(s, p, order))
+        assert shapes == {(n, k) for n in range(1, 6) for k in (1, 2)} and found
+
+    def test_one_coordinate(self):
+        # x_N alone: no x_{N-1} to group by, and x0^2 vanishes nowhere on
+        # the punctured line.
+        s = system(["x0^2"], (1,), 5)
+        assert quasi_smooth_probe(s, [5]).status == "no_witness_found"
+        assert scans_agree(s, 5, nonzero_points(5, 1)) == []
+        pair = system(["x0^2", "3*x0^2"], (1,), 5)
+        assert common_zeros_agree(5, nonzero_points(5, 1), pair.polys) == []
+
+    def test_later_equation_beside_the_rows(self, monkeypatch):
+        # k = 2: the second equation is an "eq" function with prefix
+        # trackers of its own, and the Jacobian rows are generators R0, R1
+        # called at the common zeros.  No local of the scan shadows a name
+        # it reads from its globals.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
+        s = system(["x0*x1*x3 + x2^2*x3", "x0^3 + x1*x3^2 + x2^2*x3"], (1, 1, 1, 1), 5)
+        assert scans_agree(s, 5, nonzero_points(5, 4))
+        module = compile(sources[-1], "<scan>", "exec")
+        scan = next(c for c in module.co_consts if getattr(c, "co_name", None) == "scan")
+        assert {"E1", "R0", "R1", "matrix_rank"} <= set(scan.co_names)
+        assert not set(scan.co_varnames) & set(scan.co_names)
 
     def test_reduced_exponents_act_as_the_full_ones(self):
         for p in (2, 3, 5, 7, 13):
