@@ -1,11 +1,13 @@
 """Generated evaluation code for sums of monomials over a prime field.
 
 A generated function reads its coefficients as the globals K0, K1, ..., so
-its code depends only on its shape: its kind, the exponent vectors of its
-terms, p and the power-table column each exponent is read from.  The code
-of a shape is compiled once and kept in one bounded cache, and every member
-binds its own coefficients to it (``functions``).  ``oracle`` builds its
-scans from these pieces.
+its text (``source``) depends only on its shape: its kind, the exponent
+vectors of its terms, p and the power-table column each exponent is read
+from.  Each text is compiled once and its code object kept in one bounded
+cache keyed by the text itself (``codes``), and every member binds its own
+coefficients to it (``bind``).  ``oracle`` builds its scans from these
+pieces, and caches each scan's text, which holds no coefficient, the same
+way.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import threading
 from itertools import chain, count
 from operator import itemgetter
-from types import FunctionType
+from types import CodeType, FunctionType
 
-# Shapes whose code objects the cache keeps; past the bound it is emptied.
+# Texts whose code objects the cache keeps, keyed by the text; past the
+# bound it is emptied.
 SHAPE_CACHE_SIZE = 256
 _shapes: dict = {}
 _shapes_lock = threading.Lock()
@@ -33,11 +36,11 @@ def trailing(exps, p) -> tuple[int, int]:
     return tuple(reduced(e, p) for e in ((0,) + exps)[-2:])
 
 
-def source(kind, term_lists, column, p):
-    """The lines and the returned expression of a function of a point ``pt``
-    (a tuple of residues mod p), with the coefficients K0, K1, ... in term
-    order and x_i^e a local ``Pi_c`` read where first used from
-    ``powt[pt[i]][c]``, c the ``column`` of the ``reduced`` e.
+def source(kind, term_lists, column, p) -> str:
+    """The text of a function ``kind`` of a point ``pt`` (a tuple of
+    residues mod p), with the coefficients K0, K1, ... in term order and
+    x_i^e a local ``Pi_c`` read where first used from ``powt[pt[i]][c]``,
+    c the ``column`` of the ``reduced`` e.
 
     An "ev" function returns the value of its one term list; an "eq" one
     the tuple of the sums of its one list's terms grouped by their
@@ -66,7 +69,7 @@ def source(kind, term_lists, column, p):
         for exps, name in lists[0]:
             groups.setdefault(trailing(exps, p), []).append((exps[:-2], name))
         lists = [groups[e] for e in sorted(groups)]
-    lines, read, sums = [], set(), []
+    lines, read, sums = [f"def {kind}(pt):"], set(), []
     for terms in lists:
         factors = [[(i, column[reduced(e, p)]) for i, e in enumerate(x) if e] for x, _ in terms]
         new = sorted(set(chain(*factors)) - read)
@@ -81,51 +84,44 @@ def source(kind, term_lists, column, p):
             sums.append("sum((" + "".join(x + ",\n" for x in products) + f")) % {p}")
         if kind == "row":
             lines.append(f"    yield {sums[-1]}")
-    return lines, "None" if kind == "row" else sums[0] if kind == "ev" else ", ".join(sums) + ","
+    if kind != "row":
+        lines.append(f"    return {sums[0] if kind == 'ev' else ', '.join(sums) + ','}")
+    return "\n".join(lines)
 
 
-def functions(units, powt, column, p, max_terms, head=(), head_terms=0):
-    """One function per unit ``(kind, term lists)``: the code of its shape
-    bound to ``powt`` and the unit's coefficients (``bind``); and the
-    functions the source lines ``head``, of ``head_terms`` terms, define.
+def codes(units, max_terms) -> list[CodeType]:
+    """The code object of the one function each unit ``(text, terms)``
+    defines, cached by the text; ``terms`` counts the terms it evaluates.
 
-    The shape of a unit is its kind, p, the exponent vectors of its lists
-    and the column of each exponent they use: all its code depends on.  A
-    shape missing from the cache is compiled with ``head`` while the terms
-    total at most ``max_terms``, the rest in further calls of at most that
-    many terms each.  When the cache would hold more than ``SHAPE_CACHE_SIZE``
-    shapes it is emptied.
+    The texts the cache lacks are compiled together while their terms total
+    at most ``max_terms``, the rest in further calls of at most that many
+    terms each.  When the cache would hold more than ``SHAPE_CACHE_SIZE``
+    texts it is emptied.
     """
-    batches, size, todo, keys, codes = [list(head)], head_terms, {}, [], {}
-    for kind, lists in units:
-        exps = tuple(tuple(map(itemgetter(0), terms)) for terms in lists)
-        used = sorted(set(chain(*chain(*exps))) - {0})
-        keys.append(key := (kind, p, exps, tuple(column[reduced(e, p)] for e in used)))
-        if key in codes:
+    found, batches, size = {}, [[]], 0
+    for text, n in units:
+        if text in found:
             continue
-        codes[key] = _shapes.get(key)
-        if codes[key]:
+        found[text] = _shapes.get(text)
+        if found[text]:
             continue
-        n = sum(map(len, lists))
         if size + n > max_terms:
             batches.append([])
             size = 0
         size += n
-        todo[key] = name = f"{kind}{len(todo)}"
-        body, value = source(kind, lists, column, p)
-        batches[-1] += [f"def {name}(pt):", *body, f"    return {value}"]
-    compiled = {}
-    for lines in filter(None, batches):
-        exec(compile("\n".join(lines), "<wcikit.codegen>", "exec"), compiled)
+        batches[-1].append(text)
+    new = {}
+    for batch in filter(None, batches):
+        module = compile("\n".join(batch), "<wcikit.codegen>", "exec")
+        new.update(zip(batch, (c for c in module.co_consts if isinstance(c, CodeType))))
     with _shapes_lock:
-        if len(_shapes) + len(todo) > SHAPE_CACHE_SIZE:
+        if len(_shapes) + len(new) > SHAPE_CACHE_SIZE:
             _shapes.clear()
-        for key, name in todo.items():
-            codes[key] = compiled[name].__code__
+        for text, code in new.items():
             if len(_shapes) < SHAPE_CACHE_SIZE:
-                _shapes[key] = codes[key]
-    bound = [bind(codes[k], chain(*lists), {"powt": powt}) for k, (_, lists) in zip(keys, units)]
-    return bound, compiled
+                _shapes[text] = code
+    found.update(new)
+    return [found[text] for text, _ in units]
 
 
 def bind(code, terms, namespace):

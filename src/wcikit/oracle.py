@@ -207,9 +207,11 @@ def _compiled_eval(poly, powt, column, p):
     generated "ev" code (``codegen.source``) in chunks of at most
     ``_CHUNK_TERMS`` terms, their values summed."""
     # The zero polynomial gets one empty chunk.
-    chunks = range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
-    units = [("ev", [poly.terms[i : i + _CHUNK_TERMS]]) for i in chunks]
-    parts, _ = codegen.functions(units, powt, column, p, _CHUNK_TERMS)
+    starts = range(0, max(len(poly.terms), 1), _CHUNK_TERMS)
+    chunks = [poly.terms[i : i + _CHUNK_TERMS] for i in starts]
+    units = [(codegen.source("ev", [c], column, p), len(c)) for c in chunks]
+    codes = codegen.codes(units, _CHUNK_TERMS)
+    parts = [codegen.bind(code, c, {"powt": powt}) for code, c in zip(codes, chunks)]
     if len(parts) == 1:
         return parts[0]
     return lambda pt: sum(part(pt) for part in parts) % p
@@ -300,8 +302,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
                     Q = pt[:-1]
                     if W != pt[:-2]:
                         W = pt[:-2]
-                        P0_3 = powt[pt[0]][3]
-                        G0 = K1*P0_3 % 5, K0 % 5,
+                        G0 = E0(pt)
                     U = powt[pt[-2]]
                     C0_0, C0_1, = (G0[1]*U[4]) % 5, G0[0],
                 T = powt[pt[-1]]
@@ -320,18 +321,17 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
                 out.append(pt)
             return out
 
-    with f0's coefficients bound as K0 and K1.  Equations are polynomials in
-    the last two coordinates while their terms total at most
-    ``_CHUNK_TERMS``, so no compile() sees more.  An "eq" body
-    (``codegen.source``) sums their terms by ``codegen.trailing`` exponents
-    once per prefix ``pt[:-2]``: Gj holds the sums of the terms in
-    x_{N-1}^a*x_N^e by ascending (a, e).  The coefficients in x_N (Cj_e)
-    follow from these sums and the powers ``U`` of x_{N-1} once per prefix
-    ``pt[:-1]``.  The first equation's are computed inline when a prefix
-    changes, each later one's through a shared function (E1 here) the first
-    time a point of the prefix passes the equations before it (``Qj`` and
-    ``Wj``, compared by identity, hold the prefixes they were computed for
-    and so keep them alive).  An exhaustive slice comes in runs of p points
+    with no coefficient in its text.  Equations are polynomials in the last
+    two coordinates while their terms total at most ``_CHUNK_TERMS``, each
+    a shared "eq" function (E0 and E1 here, ``codegen.source``) that sums
+    its terms by ``codegen.trailing`` exponents once per prefix ``pt[:-2]``:
+    Gj holds the sums of the terms in x_{N-1}^a*x_N^e by ascending (a, e).
+    The coefficients in x_N (Cj_e) follow from these sums and the powers
+    ``U`` of x_{N-1} once per prefix ``pt[:-1]``.  The first equation's are
+    computed when a prefix changes, each later one's the first time a point
+    of the prefix passes the equations before it (``Qj`` and ``Wj``,
+    compared by identity, hold the prefixes they were computed for and so
+    keep them alive).  An exhaustive slice comes in runs of p points
     sharing ``pt[:-1]`` and p^2 sharing ``pt[:-2]``, where a point costs a
     few products per equation; sampled draws rarely share either, and
     laziness spares them the sums of equations they never reach.  A lone
@@ -345,9 +345,10 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     draws the entries column by column until the rank reaches the row count.
     A row within the bound is a shared "row" generator, a larger or empty
     one draws from one ``_compiled_eval`` function per entry.  With no rows
-    left, the rank 0 is compared with ``rank`` once, here.  The shared
-    functions the cache misses are compiled with the scan
-    (``codegen.functions``).
+    left, the rank 0 is compared with ``rank`` once, here.  The scan's text
+    and the shared functions' are compiled together where the cache lacks
+    them (``codegen.codes``); the scan's C lines count as one term per
+    group sum they read, so no compile() sees more than ``_CHUNK_TERMS``.
     """
     if len(matrix) == 1 and rank == 1:
         equations, matrix = (*equations, *matrix[0]), ()
@@ -359,8 +360,8 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     # matrix_rank is read from the module here, so a wrapper installed on it
     # sees every call.
     namespace = {"powt": powt, "field": field, "matrix_rank": matrix_rank}
-    # The shared functions by name, and the terms of the equation computed inline.
-    units, prefixes, body, first = {}, [], [], ()
+    # The shared functions by name, and the number of group sums the C lines read.
+    units, prefixes, body, groups = {}, [], [], 0
     budget, last_row = _CHUNK_TERMS, "        T = powt[pt[-1]]"
     u_row = "            U = powt[pt[-2]]"
     for j, f in enumerate(equations):
@@ -373,18 +374,17 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
             # The zero polynomial vanishes everywhere.
             continue
         keys = sorted({codegen.trailing(exps, p) for exps, _ in f.terms})
-        if first:
+        groups += len(keys)
+        # An equation after the first keeps prefix trackers of its own.
+        if units:
             prefixes.append(f"Q{j} = W{j} = ")
-            units[f"E{j}"] = ("eq", [f.terms])
             body += [f"        if Q{j} is not Q:", f"            Q{j} = Q"]
             body += [f"            if W{j} is not W:", f"                W{j} = W"]
-            body.append(f"                G{j} = E{j}(pt)")
         else:
-            first = f.terms
-            reads, value = codegen.source("eq", [first], column, p)
             body += ["        if Q != pt[:-1]:", "            Q = pt[:-1]"]
             body += ["            if W != pt[:-2]:", "                W = pt[:-2]"]
-            body += [" " * 12 + x for x in reads] + [f"                G{j} = {value}"]
+        units[f"E{j}"] = ("eq", [f.terms])
+        body.append(f"                G{j} = E{j}(pt)")
         if keys[-1][0] and u_row not in body:
             body.append(u_row)
         # Cj_e, the coefficient of x_N^e: the sum over a of group (a, e) times x_{N-1}^a.
@@ -409,11 +409,12 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
         body += [f"        if matrix_rank([{rows}], field) >= {rank}:", "            continue"]
     lines = ["def scan(points):", "    out = []", f"    Q = W = {''.join(prefixes)}None"]
     lines += ["    for pt in points:", *body, "        out.append(pt)", "    return out"]
-    shared, compiled = codegen.functions(
-        [*units.values()], powt, column, p, _CHUNK_TERMS, lines, len(first)
-    )
-    namespace.update(zip(units, shared))
-    return codegen.bind(compiled["scan"].__code__, first, namespace)(points)
+    texts = [(codegen.source(kind, lists, column, p), sum(map(len, lists)))
+             for kind, lists in units.values()]
+    scan, *codes = codegen.codes([("\n".join(lines), groups), *texts], _CHUNK_TERMS)
+    for (name, (_, lists)), code in zip(units.items(), codes):
+        namespace[name] = codegen.bind(code, chain(*lists), {"powt": powt})
+    return codegen.bind(scan, (), namespace)(points)
 
 
 def _verified(sys: PolySystem, points) -> tuple[ConePoint, ...]:

@@ -931,7 +931,7 @@ class TestScan:
         assert [len(s.polys) for s in systems] == [1, 2, 1, 2, 1, 1]
         assert found[2] and found[3] and found[5]
         # The septic in five variables (330 terms) and its row (1,045 more)
-        # pass the inline bound inside the row, so the row's last entries
+        # pass the chunk bound inside the row, so the row's last entries
         # are compiled functions.  It is scanned on its orbit slice.
         septic = PolySystem.generic((1,) * 5, (7,), GF(p), 3)
         f, row = septic.polys[0], _jacobian(septic)[0]
@@ -984,26 +984,27 @@ class TestScan:
         assert any(evaluate(f, pt) == 0 for pt in points)
 
     def test_no_compile_sees_more_than_the_chunk_bound(self, monkeypatch):
-        # With a bound of 20 terms, the linear equation (7 terms) is inlined
-        # in the scan and the quadric (28 terms) is compiled in chunks of 20
-        # and 8.  The linear equation's row (7 constants) is one generator,
-        # compiled with the scan; the quadric's (7 entries of 7 terms) draws
-        # from one function per entry, and the 7 entries share one shape.
+        # With a bound of 20 terms, the linear equation (7 terms) is an "eq"
+        # function and the quadric (28 terms) is compiled in chunks of 20
+        # and 8.  The linear equation's row (7 constants) is one generator;
+        # both are compiled with the scan, whose C lines read the linear
+        # equation's 3 group sums.  The quadric's row (7 entries of 7 terms)
+        # draws from one function per entry, and the 7 entries share one text.
         monkeypatch.setattr(oracle, "_CHUNK_TERMS", 20)
         monkeypatch.setattr(codegen, "_shapes", {})
         sources = recorded_compiles(monkeypatch)
         sys_ = PolySystem.generic((1,) * 7, (1, 2), GF(5), 1)
         assert [f.num_terms for f in sys_.polys] == [7, 28]
         scans_agree(sys_, 5, nonzero_points(5, 7)[::7])
-        # Every term of generated code reads one coefficient name.
-        terms = [len(re.findall(r"\bK\d+\b", source)) for source in sources]
-        assert [defined(source) for source in sources] == [["ev"], ["ev"], ["ev"], ["row", "scan"]]
-        assert terms == [20, 8, 7, 14]
+        assert [defined(source) for source in sources] == [
+            ["ev"], ["ev"], ["ev"], ["eq", "row", "scan"]
+        ]
+        assert [generated_terms(source) for source in sources] == [20, 8, 7, 17]
 
     @pytest.mark.parametrize("chunk", [6, 1024])
     def test_row_generators(self, monkeypatch, chunk):
         # k = 1, 2 and 3, generic members and sparse ones with witnesses.
-        # The one row of k = 1 is scanned as equations, each past the first
+        # The one row of k = 1 is scanned as equations, each within the bound
         # an "eq" function.  For k >= 2, under a bound of 6 terms the rows of
         # the sparse and the linear equations are generators and the rows of
         # the generic quadrics and cubics draw from one "ev" function per
@@ -1024,7 +1025,7 @@ class TestScan:
         assert found[1] and found[3] and found[5]
         kinds = {kind for source in sources for kind in defined(source)}
         assert kinds == {"scan", "eq", "row", *(["ev"] if chunk == 6 else [])}
-        assert max(len(re.findall(r"\bK\d+\b", source)) for source in sources) <= chunk
+        assert max(map(generated_terms, sources)) <= chunk
 
     def test_zero_column_matrices(self):
         # Rows without entries have rank 0: every common zero is returned.
@@ -1039,41 +1040,45 @@ class TestScan:
     @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2)])
     def test_one_compile_per_row(self, monkeypatch, degrees):
         # A member whose equations and rows fit the bound makes one compile()
-        # call: the scan and, once per shape, its later equations and its
-        # rows (for k >= 2).  The 4 partials of the cubic share one shape,
-        # and so do the two quadrics and their rows.  A second member of the
-        # family compiles its scan alone.
-        kinds = ["eq", "scan"] if len(degrees) == 1 else ["eq", "row", "row", "scan"]
+        # call: the scan and, once per text, its equations and its rows (for
+        # k >= 2).  The 4 partials of the cubic share one text, and so do the
+        # two quadrics and their rows.  A second member of the family has the
+        # same texts and compiles nothing.
+        kinds = ["eq", "eq", "scan"] if len(degrees) == 1 else ["eq", "eq", "row", "row", "scan"]
         monkeypatch.setattr(codegen, "_shapes", {})
         sources = recorded_compiles(monkeypatch)
         first, second = (PolySystem.generic((1, 1, 1, 1), degrees, GF(5), seed) for seed in (1, 2))
         assert sum(f.num_terms for f in first.polys) <= _CHUNK_TERMS
         quasi_smooth_probe(first, [5])
         quasi_smooth_probe(second, [5])
-        assert [defined(source) for source in sources] == [kinds, ["scan"]]
+        assert [defined(source) for source in sources] == [kinds]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_members_of_a_family_share_their_shapes(self, monkeypatch, p):
         # Two generic members of one family, drawn with different seeds, both
-        # equal the reference, and the second compiles no shape the first
-        # did: only its scan, which holds its first equation.
+        # equal the reference.  The first compiles its scan with its shared
+        # functions in one call; the second has the same texts, its scan's
+        # included, and compiles nothing.
         monkeypatch.setattr(codegen, "_shapes", {})
         sources = recorded_compiles(monkeypatch)
         for weights, degrees in [((1, 1, 3, 3, 3), (6, 6)), ((1, 1, 1, 1, 2), (4,)),
                                  ((1, 1, 1, 1, 1), (2, 3)), ((1, 1, 1, 2, 2), (1, 2, 4))]:
             members = [PolySystem.generic(weights, degrees, GF(p), seed) for seed in (1, 2)]
             assert members[0].polys != members[1].polys
+            compiles = []
             for member in members:
                 del sources[:]
                 scans_agree(member, p, list(_orbit_slice(p, weights)))
-                assert len(sources) == 1
-            assert defined(sources[0]) == ["scan"]
+                compiles.append(len(sources))
+            assert compiles == [1, 0]
 
     def test_shape_cache_holds_at_most_its_bound(self, monkeypatch):
         # A cache about to pass its bound is emptied first, and a dropped
-        # shape is compiled again when a member needs it.
+        # text is compiled again when a member needs it.  The members need
+        # 5, 3, 3 and 5 texts: a scan, one "eq" per distinct equation shape
+        # and, for k = 2, one "row" per distinct row shape.
         monkeypatch.setattr(codegen, "_shapes", {})
-        monkeypatch.setattr(codegen, "SHAPE_CACHE_SIZE", 3)
+        monkeypatch.setattr(codegen, "SHAPE_CACHE_SIZE", 6)
         sources = recorded_compiles(monkeypatch)
         sizes = []
         for weights, degrees in [((1, 1, 1, 1), (2, 3)), ((1, 1, 1, 1, 1), (3,)),
@@ -1081,8 +1086,35 @@ class TestScan:
             member = PolySystem.generic(weights, degrees, GF(5), 1)
             scans_agree(member, 5, list(_orbit_slice(5, weights)))
             sizes.append(len(codegen._shapes))
-        assert sizes == [3, 1, 3, 3]
-        assert defined(sources[0]) == defined(sources[-1]) == ["eq", "row", "row", "scan"]
+        assert sizes == [5, 3, 6, 5]
+        assert defined(sources[0]) == defined(sources[-1]) == ["eq", "eq", "row", "row", "scan"]
+
+    def test_a_shared_equation_is_compiled_once(self, monkeypatch):
+        # The generic cubic of (1^6)/(3) and of (1^6)/(2,3) over GF(5) has
+        # one text, compiled for the first family only; a further member of
+        # the second family compiles nothing.  Its term x0^3, read from the
+        # power table's column of 3, is read by no quadric.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
+        hypersurface = PolySystem.generic((1,) * 6, (3,), GF(5), 1)
+        x0_cubed = f"powt[pt[0]][{oracle._columns(hypersurface.polys, 5)[3]}]"
+        quasi_smooth_probe(hypersurface, [5])
+        assert [x0_cubed in source for source in sources] == [True]
+        quasi_smooth_probe(PolySystem.generic((1,) * 6, (2, 3), GF(5), 1), [5])
+        assert [x0_cubed in source for source in sources] == [True, False]
+        quasi_smooth_probe(PolySystem.generic((1,) * 6, (2, 3), GF(5), 2), [5])
+        assert len(sources) == 2
+
+    @pytest.mark.parametrize("degrees", [(3,), (2, 3)])
+    def test_the_scan_reads_no_coefficient(self, monkeypatch, degrees):
+        # Every equation goes through its "eq" function, the first included,
+        # so the scan's code reads no coefficient name.
+        monkeypatch.setattr(codegen, "_shapes", {})
+        sources = recorded_compiles(monkeypatch)
+        s = PolySystem.generic((1, 1, 1, 1), degrees, GF(5), 1)
+        scans_agree(s, 5, list(_orbit_slice(5, s.weights.entries)))
+        names = scan_code(sources[-1]).co_names
+        assert "E0" in names and not [x for x in names if re.fullmatch(r"K\d+", x)]
 
     def test_shape_cache_under_threads(self, monkeypatch):
         # Threads scanning members of several families share the cache: each
@@ -1118,7 +1150,7 @@ class TestScan:
         assert not failures and len(sizes) == 40 and max(sizes) <= 3
 
     def test_scan_memory_is_bounded(self):
-        # The 11,440-term octic goes through its chunks, not inline, so the
+        # The 11,440-term octic goes through its chunks, not an "eq" function, so the
         # scan keeps the bound of TestCompiledEval.test_compile_memory_is_bounded.
         # Few points: under tracemalloc every evaluated term is slow.
         poly = generic_poly((1,) * 10, 7, GF(7), 1)
@@ -1150,6 +1182,19 @@ def recorded_compiles(monkeypatch):
 
     monkeypatch.setattr(codegen, "compile", recording_compile, raising=False)
     return sources
+
+
+def generated_terms(source):
+    """The terms a generated source evaluates: one coefficient name per term
+    of its "ev", "eq" and "row" functions, one group sum ``Gj[i]`` per term
+    its scan's C lines read."""
+    return len(re.findall(r"\bK\d+\b|\bG\d+\[", source))
+
+
+def scan_code(source):
+    """The code object of the scan a generated source defines."""
+    module = compile(source, "<scan>", "exec")
+    return next(c for c in module.co_consts if getattr(c, "co_name", None) == "scan")
 
 
 def defined(source):
@@ -1186,7 +1231,7 @@ def sparse_member(rng, p):
 
 
 class TestGroupedScan:
-    """The inline equations are polynomials in the last two coordinates:
+    """The equations within the bound are polynomials in the last two coordinates:
     their term sums are computed once per prefix (x_0, ..., x_{N-2}) and
     their coefficients in x_N once per prefix (x_0, ..., x_{N-1}), with
     exponents reduced mod p-1; every point order and every shape of system
@@ -1224,7 +1269,7 @@ class TestGroupedScan:
         assert common_zeros_agree(5, nonzero_points(5, 1), pair.polys) == []
 
     def test_later_equation_beside_the_rows(self, monkeypatch):
-        # k = 2: the second equation is an "eq" function with prefix
+        # k = 2: each equation is an "eq" function, the second with prefix
         # trackers of its own, and the Jacobian rows are generators R0, R1
         # called at the common zeros.  No local of the scan shadows a name
         # it reads from its globals.
@@ -1232,9 +1277,8 @@ class TestGroupedScan:
         sources = recorded_compiles(monkeypatch)
         s = system(["x0*x1*x3 + x2^2*x3", "x0^3 + x1*x3^2 + x2^2*x3"], (1, 1, 1, 1), 5)
         assert scans_agree(s, 5, nonzero_points(5, 4))
-        module = compile(sources[-1], "<scan>", "exec")
-        scan = next(c for c in module.co_consts if getattr(c, "co_name", None) == "scan")
-        assert {"E1", "R0", "R1", "matrix_rank"} <= set(scan.co_names)
+        scan = scan_code(sources[-1])
+        assert {"E0", "E1", "R0", "R1", "matrix_rank"} <= set(scan.co_names)
         assert not set(scan.co_varnames) & set(scan.co_names)
 
     def test_reduced_exponents_act_as_the_full_ones(self):
@@ -1333,8 +1377,8 @@ class TestGroupedScan:
         assert common_zeros_agree(5, points, (zero,)) == points
 
     def test_inline_and_chunked_equations(self, monkeypatch):
-        # Under a bound of 10 terms a 3-term equation listed first is inlined
-        # and the 15-term quadrics after it are compiled in chunks; listed
+        # Under a bound of 10 terms a 3-term equation listed first is an "eq"
+        # function and the 15-term quadrics after it are compiled in chunks; listed
         # after them it is chunked too, the budget being spent.
         monkeypatch.setattr(oracle, "_CHUNK_TERMS", 10)
         generic = PolySystem.generic((1,) * 5, (2, 2), GF(3), 4)
