@@ -9,8 +9,9 @@ evidence only and never a proof of quasi-smoothness.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import gcd
 
 from . import codegen
@@ -155,9 +156,11 @@ class QSVerdict:
     ``status`` follows from ``witnesses``: ``singular_witness`` if there are
     any, definitive for the scanned member, else ``no_witness_found``, which
     is one-sided evidence.  ``exhaustive`` is true only when every probed
-    field was scanned completely.  An exhaustive scan evaluates one orbit
-    slice of the weighted F_p^* action, yet ``witnesses`` lists every
-    singular point of the field, in ascending order, each re-verified.
+    field was scanned completely.  One singular point settles a field, so
+    each field's scan stops at its first: ``witnesses`` holds, per field,
+    the weighted F_p^* orbit of the first singular point of an exhaustive
+    field's orbit slice, in ascending order, or the least singular distinct
+    draw of a sampled field, each re-verified.
     ``points_scanned`` counts the nonzero points the verdict decides: p^(N+1)-1
     per exhaustive field, the distinct nonzero draws per sampled one.
     """
@@ -283,19 +286,19 @@ def _expand_orbits(points, weights, p: int) -> list[tuple[int, ...]]:
     )
 
 
-def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
-    """The points, in scan order, where every equation vanishes and the matrix
-    of polynomials has rank below ``rank``.
+def _scan(p, field, points, equations, matrix, rank) -> Iterator[tuple[int, ...]]:
+    """An iterator over the points, in scan order, where every equation
+    vanishes and the matrix of polynomials has rank below ``rank``; each
+    point is tested only when the iterator is asked for the next one.
 
     A matrix of one row with ``rank`` 1 has rank below 1 exactly where every
     entry vanishes, so its entries are scanned as further equations after
-    the given ones.  One generated function runs the loop, e.g. for f0 =
+    the given ones.  One generated generator runs the loop, e.g. for f0 =
     x1^4 + 2*x0^3*x2, a further equation f1 = x0*x1^3 + 3*x1*x2^3 + x2^4 and
     one f2 past the bound below, over GF(5) and against a table of every
     exponent::
 
         def scan(points):
-            out = []
             Q = W = Q1 = W1 = None
             for pt in points:
                 if Q != pt[:-1]:
@@ -318,8 +321,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
                     continue
                 if F2(pt):
                     continue
-                out.append(pt)
-            return out
+                yield pt
 
     with no coefficient in its text.  Equations are polynomials in the last
     two coordinates while their terms total at most ``_CHUNK_TERMS``, each
@@ -333,8 +335,9 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     compared by identity, hold the prefixes they were computed for and so
     keep them alive).  An exhaustive slice comes in runs of p points
     sharing ``pt[:-1]`` and p^2 sharing ``pt[:-2]``, where a point costs a
-    few products per equation; sampled draws rarely share either, and
-    laziness spares them the sums of equations they never reach.  A lone
+    few products per equation.  Sampled draws, scanned in ascending order,
+    share a prefix as often as they are dense in the space, and laziness
+    spares them the sums of equations they never reach.  A lone
     coordinate has no x_{N-1}: its terms all fall in groups with a = 0.
     The power table has one column per distinct ``_reduced`` exponent,
     which ``column`` maps.  A further equation (F2 here) is a
@@ -353,7 +356,7 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     if len(matrix) == 1 and rank == 1:
         equations, matrix = (*equations, *matrix[0]), ()
     if not matrix and rank < 1:
-        return []
+        return iter(())
     entries = [g for row in matrix for g in row]
     column = _columns([*equations, *entries], p)
     powt = _power_table(p, column)
@@ -407,8 +410,8 @@ def _scan(p, field, points, equations, matrix, rank) -> list[tuple[int, ...]]:
     if matrix:
         rows = ", ".join(f"R{r}(pt)" for r in range(len(matrix)))
         body += [f"        if matrix_rank([{rows}], field) >= {rank}:", "            continue"]
-    lines = ["def scan(points):", "    out = []", f"    Q = W = {''.join(prefixes)}None"]
-    lines += ["    for pt in points:", *body, "        out.append(pt)", "    return out"]
+    lines = ["def scan(points):", f"    Q = W = {''.join(prefixes)}None"]
+    lines += ["    for pt in points:", *body, "        yield pt"]
     texts = [(codegen.source(kind, lists, column, p), sum(map(len, lists)))
              for kind, lists in units.values()]
     scan, *codes = codegen.codes([("\n".join(lines), groups), *texts], _CHUNK_TERMS)
@@ -442,12 +445,15 @@ def quasi_smooth_probe(
     ``probe_primes``.  A field is scanned exhaustively when its orbit slice
     (``_orbit_slice``), the sum over i of gcd(a_i, p-1) * p^(N-i) points,
     has at most ``max_points`` points; otherwise by ``sample_count`` seeded
-    uniform draws (deterministic), each distinct nonzero point scanned once.
-    An exhaustive scan evaluates only the slice: the equations are weighted
-    homogeneous, so vanishing and Jacobian rank are constant on each orbit
-    of the weighted F_p^* action, in every characteristic.  The singular
-    slice points are expanded to their orbits and every expanded point is
-    re-verified.  Primes dividing a weight or degree are excluded unless
+    uniform draws (deterministic), each distinct nonzero point scanned once,
+    in ascending order.  An exhaustive scan evaluates only the slice: the
+    equations are weighted homogeneous, so vanishing and Jacobian rank are
+    constant on each orbit of the weighted F_p^* action, in every
+    characteristic.  One singular point settles a field, so its scan stops
+    at the first: an exhaustive field reports that slice point's orbit, a
+    sampled field that one draw, and every reported point is re-verified.
+    ``points_scanned`` counts every point the field's verdict decides.
+    Primes dividing a weight or degree are excluded unless
     ``allow_bad_primes``.  A rational-coefficient system is reduced mod each
     prime; a system over a prime field is probed over that field only.
     ``max_points`` and ``sample_count`` below 1 raise ValueError.
@@ -465,10 +471,13 @@ def quasi_smooth_probe(
         else:
             rng = random.Random(seed)
             draws = (tuple(rng.randrange(p) for _ in range(n1)) for _ in range(sample_count))
-            # A repeated draw is scanned and counted once, in first-draw order.
-            points = dict.fromkeys(pt for pt in draws if any(pt))
+            # A repeated draw is scanned and counted once; in ascending
+            # order, consecutive draws share their prefixes where they can.
+            points = sorted({pt for pt in draws if any(pt)})
             scanned = len(points)
-        singular = _scan(p, fsys.field, points, fsys.polys, _jacobian(fsys), len(fsys.polys))
+        # One singular point settles the field: the scan stops at its first.
+        scan = _scan(p, fsys.field, points, fsys.polys, _jacobian(fsys), len(fsys.polys))
+        singular = islice(scan, 1)
         if exhaustive:
             singular = _expand_orbits(singular, weights, p)
         witnesses = tuple((p, point) for point in _verified(fsys, singular))
@@ -604,10 +613,11 @@ def wf_witness_search(
     # off-stratum coordinates at 0, decides them.  For r = 1 the scan of Z
     # tests the one row's entries as equations.
     weights = spec.weights.entries
-    z_slice = _scan(p, field, _orbit_slice(p, weights, on_idx), (), g_rows, r)
+    # Both scans run to the end: the report lists the full sets.
+    z_slice = list(_scan(p, field, _orbit_slice(p, weights, on_idx), (), g_rows, r))
     # S: the Z points where the remaining equations vanish (an empty matrix
     # has rank 0 < 1 everywhere), so no rank is tested twice.
-    s_slice = _scan(p, field, z_slice, remaining, (), 1)
+    s_slice = list(_scan(p, field, z_slice, remaining, (), 1))
     z_points = tuple(ConePoint(pt) for pt in _expand_orbits(z_slice, weights, p))
     s_points = _verified(fsys, _expand_orbits(s_slice, weights, p))
     return WitnessSearchReport(

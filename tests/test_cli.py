@@ -489,7 +489,8 @@ class TestCensus:
 
     def test_probed_census_bytes_pinned(self, capsys, tmp_path):
         # Unlike the benchmark pin, which hashes only the reports, this pins
-        # every byte of the probed records: witness lists, points scanned.
+        # every byte of the probed records: witness lists (each field's first
+        # singular orbit), points scanned.
         out = tmp_path / "c.jsonl"
         code, stdout, _ = run_cli(
             capsys, "census", "--max-n", "5", "--max-weight", "2", "--max-weight-sum", "11",
@@ -500,7 +501,7 @@ class TestCensus:
         assert code == 0
         summary = "6f19ceb24923d3d36c16f4c772d94081cc3ab4f96586582f6c158f19d0b718d8"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "29e4d86b8a855624e7a99915a376cb19967288abd48ddf2f1ec9b314870f1e70"
+            "d5f8946b887abe14f4e6dbef4133fa7db7df7d0e0ea11a7b825658276f949cc6"
         )
         assert hashlib.sha256(stdout.encode()).hexdigest() == summary
         assert hashlib.sha256((tmp_path / "c.jsonl.summary.json").read_bytes()).hexdigest() == summary

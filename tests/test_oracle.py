@@ -282,10 +282,12 @@ class TestQuasiSmoothProbe:
         rng = random.Random(5)
         draws = {tuple(rng.randrange(5) for _ in range(4)) for _ in range(2000)}
         points = [pt.coords for _, pt in verdict.witnesses]
-        assert points and len(set(points)) == len(points)
+        # The scan stops at its first singular draw, the one witness.
+        assert len(points) == 1
         assert verdict.points_scanned == len(draws - {(0, 0, 0, 0)}) <= 5**4 - 1
-        full = quasi_smooth_probe(sys_, (5,))
-        assert set(points) <= {pt.coords for _, pt in full.witnesses}
+        # It is a draw and a point of the full singular set.
+        _, full, _, _ = reference_probe(sys_, 5)
+        assert set(points) <= draws & {pt.coords for _, pt in full}
 
     def test_generic_surface_family_witness_on_stratum(self):
         # Weakly-but-not-well-formed family of dimension 3: witnesses appear
@@ -612,6 +614,25 @@ def reference_probe(sys_, p, max_points=10**7, sample_count=100_000, seed=0):
     return status, tuple(witnesses), scanned, exhaustive
 
 
+def reference_first_orbit(sys_, p):
+    """What an exhaustive probe reports: the weighted orbit of the first
+    singular point that ``reference_scan`` finds in ``_orbit_slice`` order,
+    in ascending order, or nothing."""
+    weights = sys_.weights.entries
+    args = (sys_.polys, _jacobian(sys_), len(sys_.polys))
+    singular = reference_scan(p, _orbit_slice(p, weights), *args)
+    if not singular:
+        return ()
+    orbit = {weighted_action(singular[0], weights, t, p) for t in range(1, p)}
+    return tuple((p, ConePoint(pt)) for pt in sorted(orbit))
+
+
+def least_draw(witnesses):
+    """What a sampled probe reports: the least of the reference's singular
+    draws, or nothing."""
+    return tuple(sorted(witnesses, key=lambda w: w[1].coords)[:1])
+
+
 def reference_search(sys_, on_idx, p):
     n1 = len(sys_.weights)
     field = GF(p)
@@ -661,17 +682,35 @@ class TestOrbitSliceMatchesFullScan:
         ((1, 1, 3, 3, 3), (6, 6), 13, 4),
         ((1, 2, 3, 3), (6,), 13, 3),
     ]
+    # Primes dividing a weight (probed with allow_bad_primes=True).
+    BAD_PRIME_CASES = [
+        ((1, 2, 2, 3), (6,), 3, 6),
+        ((1, 1, 3, 3, 3), (6, 6), 3, 1),
+        ((1, 2, 2, 3), (6,), 2, 1),
+    ]
 
     @pytest.mark.parametrize("weights,degrees,p,seed", CASES)
     def test_probe_equals_reference(self, weights, degrees, p, seed):
+        # The probe reports the orbit of its first singular slice point.
         sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
         verdict = quasi_smooth_probe(sys_, (p,))
         status, witnesses, scanned, exhaustive = reference_probe(sys_, p)
         assert witnesses
-        assert verdict.witnesses == witnesses
+        assert verdict.witnesses == reference_first_orbit(sys_, p)
+        assert set(verdict.witnesses) <= set(witnesses)
         assert verdict.status == status
         assert verdict.points_scanned == scanned == p ** len(weights) - 1
         assert verdict.exhaustive and exhaustive
+
+    @pytest.mark.parametrize("weights,degrees,p,seed", CASES + BAD_PRIME_CASES)
+    def test_full_scan_equals_reference(self, weights, degrees, p, seed):
+        # Run to its end, the scan of the slice meets every singular orbit,
+        # also where p divides a weight.
+        sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
+        args = (sys_.polys, _jacobian(sys_), len(degrees))
+        found = list(_scan(p, GF(p), _orbit_slice(p, weights), *args))
+        _, witnesses, _, _ = reference_probe(sys_, p)
+        assert oracle._expand_orbits(found, weights, p) == [pt.coords for _, pt in witnesses]
 
     def test_cases_cover_every_coset_count(self):
         seen = set()
@@ -680,16 +719,14 @@ class TestOrbitSliceMatchesFullScan:
             seen |= leading_gcds(quasi_smooth_probe(sys_, (p,)).witnesses, weights, p)
         assert seen == {1, 2, 3}
 
-    @pytest.mark.parametrize(
-        "weights,degrees,p,seed",
-        [((1, 2, 2, 3), (6,), 3, 6), ((1, 1, 3, 3, 3), (6, 6), 3, 1), ((1, 2, 2, 3), (6,), 2, 1)],
-    )
+    @pytest.mark.parametrize("weights,degrees,p,seed", BAD_PRIME_CASES)
     def test_bad_prime_dividing_a_weight(self, weights, degrees, p, seed):
         assert any(a % p == 0 for a in weights)
         sys_ = PolySystem.generic(weights, degrees, GF(p), seed)
         verdict = quasi_smooth_probe(sys_, (p,), allow_bad_primes=True)
         status, witnesses, scanned, exhaustive = reference_probe(sys_, p)
-        assert verdict.witnesses == witnesses
+        assert verdict.witnesses == reference_first_orbit(sys_, p)
+        assert set(verdict.witnesses) <= set(witnesses)
         assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
             status, scanned, exhaustive,
         )
@@ -709,13 +746,73 @@ class TestOrbitSliceMatchesFullScan:
                 sys_, p, max_points=max_points, sample_count=sample_count, seed=seed
             )
             assert witnesses and not exhaustive
-            assert verdict.witnesses == witnesses
+            assert verdict.witnesses == least_draw(witnesses)
             assert (verdict.status, verdict.points_scanned, verdict.exhaustive) == (
                 status, scanned, exhaustive,
             )
         rng = random.Random(1)
         draws = {tuple(rng.randrange(3) for _ in range(3)) for _ in range(200)}
         assert (0, 0, 0) in draws and verdict.points_scanned == len(draws) - 1
+
+    def test_scan_stops_at_the_first_singular_point(self, monkeypatch):
+        # A singular member's probe draws its slice up to its first singular
+        # point and no further (the node's is the slice's last point); the
+        # Fermat cubic, smooth over GF(5), draws all of it.
+        handed = []
+        real_slice = oracle._orbit_slice
+
+        def counted_slice(p, weights, indices=None):
+            for pt in real_slice(p, weights, indices):
+                handed.append(pt)
+                yield pt
+
+        monkeypatch.setattr(oracle, "_orbit_slice", counted_slice)
+        cases = [(NODE.reduce_mod(5), 5), (FERMAT.reduce_mod(5), 5)]
+        cases += [(PolySystem.generic(w, d, GF(p), seed), p) for w, d, p, seed in self.CASES]
+        stopped = 0
+        for sys_, p in cases:
+            del handed[:]
+            verdict = quasi_smooth_probe(sys_, (p,))
+            points = list(real_slice(p, sys_.weights.entries))
+            singular = reference_scan(p, points, sys_.polys, _jacobian(sys_), len(sys_.polys))
+            if singular:
+                assert handed == points[: points.index(singular[0]) + 1] and verdict.witnesses
+                stopped += len(handed) < len(points)
+            else:
+                assert handed == points and not verdict.witnesses
+        assert stopped == len(self.CASES)
+
+    def test_sampled_field_reports_its_least_singular_draw(self, monkeypatch):
+        # Each sampled field scans its distinct nonzero draws once each, in
+        # ascending order, and reports the least singular one, as the
+        # reference over the draws finds it.
+        orders = []
+        real_scan = oracle._scan
+
+        def recording_scan(p, field, points, *rest):
+            orders.append(list(points))
+            return real_scan(p, field, orders[-1], *rest)
+
+        monkeypatch.setattr(oracle, "_scan", recording_scan)
+        cases = [(NODE, (5, 7), 10, 200), (PolySystem.generic((1, 1, 2, 2, 2), (3, 4), GF(7), 1),
+                                            (7,), 100, 3000)]
+        found = 0
+        for sys_, primes, max_points, sample_count in cases:
+            for seed in (1, 2, 3):
+                del orders[:]
+                verdict = quasi_smooth_probe(
+                    sys_, primes, max_points=max_points, sample_count=sample_count, seed=seed
+                )
+                expected = ()
+                for p, order in zip(primes, orders, strict=True):
+                    _, witnesses, scanned, _ = reference_probe(
+                        sys_.reduce_mod(p), p, max_points, sample_count, seed
+                    )
+                    assert order == sorted(set(order)) and len(order) == scanned
+                    expected += least_draw(witnesses)
+                assert verdict.witnesses == expected and not verdict.exhaustive
+                found += len(expected)
+        assert found
 
     # (weights, degrees, stratum, r): the one-row search of r = 1, whose Z
     # scan tests the row's entries as equations, the matrix search of r = 2,
@@ -899,7 +996,7 @@ def scans_agree(sys_, p, points):
     """``_scan`` over the system's equations and Jacobian equals the reference,
     and finds something to agree on unless the point list is empty."""
     args = (sys_.polys, _jacobian(sys_), len(sys_.polys))
-    found = _scan(p, GF(p), points, *args)
+    found = list(_scan(p, GF(p), points, *args))
     assert found == reference_scan(p, points, *args)
     return found
 
@@ -947,7 +1044,7 @@ class TestScan:
         for equation, entry, expected in [
             (zero, x0, on_x0), (x0, zero, on_x0), (zero, zero, points)
         ]:
-            found = _scan(5, GF(5), points, (equation,), [[entry]], 1)
+            found = list(_scan(5, GF(5), points, (equation,), [[entry]], 1))
             assert found == reference_scan(5, points, (equation,), [[entry]], 1) == expected
 
     def test_no_equations(self):
@@ -957,7 +1054,7 @@ class TestScan:
             for row in (("x0", "x1", "x2"), ("x1", "x2", "x0 + x1"))
         ]
         points = nonzero_points(7, 3)
-        found = _scan(7, GF(7), points, (), rows, 2)
+        found = list(_scan(7, GF(7), points, (), rows, 2))
         assert found == reference_scan(7, points, (), rows, 2)
         assert 0 < len(found) < len(points)
 
@@ -1034,7 +1131,7 @@ class TestScan:
         zeros = common_zeros_agree(5, points, s.polys)
         assert zeros
         for matrix, rank in (([[]], 1), ([[], []], 1), ([[], []], 2)):
-            assert _scan(5, GF(5), points, s.polys, matrix, rank) == zeros
+            assert list(_scan(5, GF(5), points, s.polys, matrix, rank)) == zeros
             assert reference_scan(5, points, s.polys, matrix, rank) == zeros
 
     @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2)])
@@ -1132,7 +1229,8 @@ class TestScan:
             j = i % len(members)
             for _ in range(5):
                 m = members[j]
-                if _scan(5, GF(5), points[j], m.polys, _jacobian(m), len(m.polys)) != expected[j]:
+                found = _scan(5, GF(5), points[j], m.polys, _jacobian(m), len(m.polys))
+                if list(found) != expected[j]:
                     failures.append(i)
                 sizes.append(len(codegen._shapes))
 
@@ -1163,7 +1261,7 @@ class TestScan:
         points = [(0,) * 9 + (1,), on]
         tracemalloc.start()
         try:
-            found = _scan(7, GF(7), points, (poly,), [[entry]], 1)
+            found = list(_scan(7, GF(7), points, (poly,), [[entry]], 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1207,7 +1305,7 @@ def common_zeros_agree(p, points, equations):
     """``_scan`` with an empty matrix (rank 0 < 1 everywhere) returns the
     equations' common zeros in scan order; it equals the reference, whose
     full-exponent power table checks the Fermat reduction independently."""
-    found = _scan(p, GF(p), points, equations, (), 1)
+    found = list(_scan(p, GF(p), points, equations, (), 1))
     assert found == reference_scan(p, points, equations, (), 1)
     return found
 
